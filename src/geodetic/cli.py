@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import reports
@@ -24,6 +25,7 @@ from .graphs import GraphError, format_edge_list, load_edge_list
 from .harness import (
     SearchLimits,
     SweepBounds,
+    SweepFinding,
     corollary4_check,
     finding_record,
     sweep_validate,
@@ -226,32 +228,49 @@ def _cmd_k4_check(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bounds = SweepBounds(args.lmax, args.include_invalid)
-    findings = list(sweep_validate(bounds))
-    records = [finding_record(f) for f in findings]
-    if args.output:
-        header = {"L_max": args.lmax, "include_invalid": args.include_invalid}
-        with open(args.output, "w") as out:
-            reports.write_findings(out, header, records)
     rows: dict[tuple[int, int], dict[str, int]] = {}
-    for f in findings:
+    oracle_k: Counter[tuple[int, int]] = Counter()
+
+    def tally(f: SweepFinding) -> SweepFinding:
         row = rows.setdefault((f.spec.L, f.spec.n), {"specs": 0, "ok": 0, "bad": 0})
         row["specs"] += 1
         row["ok"] += f.report.all_conditions_hold
         row["bad"] += not f.consistent
+        if f.report.all_conditions_hold:
+            oracle_k[f.spec.n, f.oracle.k] += 1
+        return f
+
+    # Each finding is tallied and written as it arrives, so an interrupted
+    # sweep leaves a findings file holding every spec checked so far.
+    findings = map(tally, sweep_validate(bounds))
+    if args.output:
+        header = {"L_max": args.lmax, "include_invalid": args.include_invalid}
+        with open(args.output, "w") as out:
+            reports.write_findings(out, header, map(finding_record, findings))
+    else:
+        for _ in findings:
+            pass
+    total = sum(row["specs"] for row in rows.values())
     inconsistent = sum(row["bad"] for row in rows.values())
     payload = {
         "L_max": args.lmax,
         "include_invalid": args.include_invalid,
-        "total_specs": len(findings),
+        "total_specs": total,
         "conditions_satisfied": sum(row["ok"] for row in rows.values()),
         "inconsistent": inconsistent,
         "findings_file": args.output,
+        "oracle_k_by_chord_count": [
+            {"n": n, "k": k, "specs": count} for (n, k), count in sorted(oracle_k.items())
+        ],
     }
     text = ["  L  n   specs  conds-ok  inconsistent"]
     for (big_l, n), row in sorted(rows.items()):
         text.append(f"{big_l:>3}{n:>3}{row['specs']:>8}{row['ok']:>10}{row['bad']:>14}")
+    text.append("oracle class by chord count (condition-satisfying specs):")
+    for (n, k), count in sorted(oracle_k.items()):
+        text.append(f"  n={n}: K={k} for {count} specs")
     text.append(
-        f"total: {len(findings)} specs, {inconsistent} inconsistent"
+        f"total: {total} specs, {inconsistent} inconsistent"
         + (f", findings written to {args.output}" if args.output else "")
     )
     _emit(args, "sweep", payload, text)

@@ -165,14 +165,6 @@ def build(spec: EmbeddedSpec) -> EmbeddedGraph:
     )
 
 
-def _spec_of(subject: EmbeddedSpec | EmbeddedGraph) -> EmbeddedSpec:
-    spec = subject.spec if isinstance(subject, EmbeddedGraph) else subject
-    validation = validate_spec(spec)
-    if not validation.structure_ok:
-        raise GraphError("spec structure is broken: " + "; ".join(validation.problems))
-    return spec
-
-
 @dataclass(frozen=True)
 class ChordArcParity:
     """The two chord-plus-arc cycle lengths for one chord (0-based index)."""
@@ -187,44 +179,19 @@ class ChordArcParity:
 
 @dataclass(frozen=True)
 class Condition1Report:
+    """Every chord-plus-arc cycle must have odd length (both arcs per chord)."""
+
     entries: tuple[ChordArcParity, ...]
     ok: bool
-
-
-def check_condition1(subject: EmbeddedSpec | EmbeddedGraph) -> Condition1Report:
-    """Every chord-plus-arc cycle must have odd length (both arcs per chord)."""
-    spec = _spec_of(subject)
-    entries = []
-    for i, c in enumerate(spec.chords):
-        cw = spec.clockwise_span(i)
-        entries.append(ChordArcParity(i, (c + cw, c + (2 * spec.L - cw))))
-    return Condition1Report(tuple(entries), all(e.all_odd for e in entries))
 
 
 @dataclass(frozen=True)
 class Condition2Report:
     """Lengths of the n neighbouring-chord cycles, in chord order (the last
-    entry pairs the final chord with the first)."""
+    entry pairs the final chord with the first); each must be exactly 2L."""
 
     lengths: tuple[int, ...]
     ok: bool
-
-
-def adjacent_chord_cycle_lengths(spec: EmbeddedSpec) -> tuple[int, ...]:
-    """Cycle lengths chord i + chord i+1 + the two arcs between their
-    nearer endpoints, the arcs that carry no other chord endpoint."""
-    n = spec.n
-    return tuple(
-        spec.arcs[i] + spec.chords[i] + spec.chords[(i + 1) % n] + spec.arcs[n + i]
-        for i in range(n)
-    )
-
-
-def check_condition2(subject: EmbeddedSpec | EmbeddedGraph) -> Condition2Report:
-    """Every neighbouring-chord cycle must have length exactly 2L."""
-    spec = _spec_of(subject)
-    lengths = adjacent_chord_cycle_lengths(spec)
-    return Condition2Report(lengths, all(ln == spec.cycle_length for ln in lengths))
 
 
 @dataclass(frozen=True)
@@ -243,24 +210,10 @@ class ForbiddenCycle:
 
 @dataclass(frozen=True)
 class EmbeddednessReport:
+    """No chord+arc or neighbouring-chord cycle may be even with length < 2L."""
+
     ok: bool
     violations: tuple[ForbiddenCycle, ...]
-
-
-def check_embeddedness(subject: EmbeddedSpec | EmbeddedGraph) -> EmbeddednessReport:
-    """No chord+arc or neighbouring-chord cycle may be even with length < 2L."""
-    spec = _spec_of(subject)
-    target = spec.cycle_length
-    violations: list[ForbiddenCycle] = []
-    for i, c in enumerate(spec.chords):
-        cw = spec.clockwise_span(i)
-        for side, ln in (("cw", c + cw), ("ccw", c + (target - cw))):
-            if ln % 2 == 0 and ln < target:
-                violations.append(ForbiddenCycle("chord_arc", (i,), ln, side))
-    for i, ln in enumerate(adjacent_chord_cycle_lengths(spec)):
-        if ln % 2 == 0 and ln < target:
-            violations.append(ForbiddenCycle("adjacent_chords", (i, (i + 1) % spec.n), ln))
-    return EmbeddednessReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -277,37 +230,44 @@ class ConditionReport:
 
     @property
     def all_conditions_hold(self) -> bool:
-        return (
-            self.validation.ok
-            and self.condition1 is not None
-            and self.condition1.ok
-            and self.condition2 is not None
-            and self.condition2.ok
-            and self.embeddedness is not None
-            and self.embeddedness.ok
-        )
-
-
-def predict_class(report: ConditionReport) -> GeodeticClass | None:
-    """Geodetic for n=2, bigeodetic (K <= 2) for n >= 3, when all checks pass."""
-    if not report.all_conditions_hold:
-        return None
-    return GeodeticClass(1 if report.spec.n == 2 else 2)
+        return self.predicted_class is not None
 
 
 def evaluate_spec(spec: EmbeddedSpec) -> ConditionReport:
-    """Validate and run all structural checks; fields stay None when the
-    spec's shape is too broken for the arithmetic to mean anything."""
+    """Validate once and run all structural checks from one pass of arithmetic.
+
+    The checks read the same numbers: the two chord-plus-arc cycle lengths
+    of each chord and the n neighbouring-chord cycle lengths (chord i, chord
+    i+1 and the two arcs between their nearer endpoints, the arcs that carry
+    no other chord endpoint).  When all checks pass the class is geodetic for
+    n=2 and bigeodetic (K <= 2) for n >= 3.  The check fields stay None when
+    the spec's shape is too broken for the arithmetic to mean anything.
+    """
     validation = validate_spec(spec)
     if not validation.structure_ok:
         return ConditionReport(spec, validation, None, None, None, None)
-    c1 = check_condition1(spec)
-    c2 = check_condition2(spec)
-    emb = check_embeddedness(spec)
-    report = ConditionReport(spec, validation, c1, c2, emb, None)
-    predicted = predict_class(report)
-    if predicted is None:
-        return report
+    n, target, arcs, chords = spec.n, spec.cycle_length, spec.arcs, spec.chords
+    violations: list[ForbiddenCycle] = []
+    chord_arc: list[ChordArcParity] = []
+    for i, c in enumerate(chords):
+        cw = spec.clockwise_span(i)
+        lengths = (c + cw, c + (target - cw))
+        chord_arc.append(ChordArcParity(i, lengths))
+        for side, ln in zip(("cw", "ccw"), lengths):
+            if ln % 2 == 0 and ln < target:
+                violations.append(ForbiddenCycle("chord_arc", (i,), ln, side))
+    adjacent = tuple(
+        arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] for i in range(n)
+    )
+    for i, ln in enumerate(adjacent):
+        if ln % 2 == 0 and ln < target:
+            violations.append(ForbiddenCycle("adjacent_chords", (i, (i + 1) % n), ln))
+    c1 = Condition1Report(tuple(chord_arc), all(e.all_odd for e in chord_arc))
+    c2 = Condition2Report(adjacent, all(ln == target for ln in adjacent))
+    emb = EmbeddednessReport(not violations, tuple(violations))
+    predicted = None
+    if validation.ok and c1.ok and c2.ok and emb.ok:
+        predicted = GeodeticClass(1 if n == 2 else 2)
     return ConditionReport(spec, validation, c1, c2, emb, predicted)
 
 

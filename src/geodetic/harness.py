@@ -23,7 +23,6 @@ from .embedding import (
     build,
     evaluate_spec,
     format_spec_line,
-    validate_spec,
 )
 from .geodesics import GeodesicProfile, GeodeticClass, classify_k, count_geodesics
 from .graphs import Graph, GraphError, is_connected
@@ -42,6 +41,10 @@ class SweepBounds:
     L_max: int
     include_invalid: bool = False
 
+    def __post_init__(self) -> None:
+        if self.L_max < 2:
+            raise GraphError("L_max must be >= 2")
+
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` positive
@@ -55,20 +58,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def enumerate_specs(bounds: SweepBounds) -> Iterator[EmbeddedSpec]:
+def enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
     """Deterministic enumeration: L ascending, then n, then arcs and chords
-    in lexicographic order; only chord-valid specs are ever yielded."""
-    if bounds.L_max < 2:
-        raise GraphError("L_max must be >= 2")
+    in lexicographic order.  Each candidate is evaluated once, and the
+    report of every yielded spec is the one sweeps use; only chord-valid
+    specs are ever yielded."""
     for big_l in range(2, bounds.L_max + 1):
         for n in range(2, big_l + 1):
             for arcs in compositions(2 * big_l, 2 * n):
                 for chords in product(range(1, big_l), repeat=n):
-                    spec = EmbeddedSpec(big_l, n, arcs, chords)
-                    if not validate_spec(spec).ok:
-                        continue
-                    if bounds.include_invalid or evaluate_spec(spec).all_conditions_hold:
-                        yield spec
+                    report = evaluate_spec(EmbeddedSpec(big_l, n, arcs, chords))
+                    if report.all_conditions_hold or (
+                        bounds.include_invalid and report.validation.ok
+                    ):
+                        yield report
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,8 @@ class SweepFinding:
 
 def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
     """Build every enumerated spec, run the oracle, and compare."""
-    for spec in enumerate_specs(bounds):
-        report = evaluate_spec(spec)
+    for report in enumerate_specs(bounds):
+        spec = report.spec
         h = build(spec)
         profile = count_geodesics(h.graph)
         oracle = classify_k(profile)

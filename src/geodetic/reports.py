@@ -53,24 +53,31 @@ def write_findings(out: TextIO, header: dict, records: Iterable[dict]) -> int:
     return written
 
 
-def read_findings(path: str | Path) -> tuple[dict, list[dict]]:
-    header: dict | None = None
-    records: list[dict] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        if header is None:
-            header = load_report(line)
-        else:
+def _findings(path: str | Path) -> Iterator[dict]:
+    """Yield the checked header of a findings file, then its records, one
+    line at a time; a bad line raises ReportError with its line number."""
+    with open(path) as text:
+        lines = ((lineno, line) for lineno, line in enumerate(text, start=1) if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ReportError("findings file has no header line")
+        yield load_report(first[1])
+        for lineno, line in lines:
             try:
-                records.append(json.loads(line))
+                yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"line {lineno}: not valid JSON: {exc}") from None
-    if header is None:
-        raise ReportError("findings file has no header line")
-    return header, records
 
 
 def iter_findings(path: str | Path) -> Iterator[dict]:
-    _, records = read_findings(path)
-    yield from records
+    """Stream the records of a findings file, so records before a bad or
+    cut-off line are still seen."""
+    findings = _findings(path)
+    next(findings)
+    yield from findings
+
+
+def read_findings(path: str | Path) -> tuple[dict, list[dict]]:
+    findings = _findings(path)
+    header = next(findings)
+    return header, list(findings)

@@ -12,6 +12,7 @@ from geodetic import (
     parse_edge_list,
     read_findings,
     subdivided_k4,
+    sweep_validate,
 )
 from geodetic.cli import main
 
@@ -227,6 +228,34 @@ class TestSweep:
         assert report["conditions_satisfied"] == 6
         assert report["inconsistent"] == 0
         assert report["findings_file"] is None
+
+    def test_oracle_class_by_chord_count(self, capsys):
+        rc = main(["sweep", "--json", "--lmax", "4"])
+        entries = report_of(capsys)["oracle_k_by_chord_count"]
+        assert rc == 0
+        assert sum(e["specs"] for e in entries) == 23
+        assert all(e["k"] == 1 for e in entries if e["n"] == 2)
+        assert all(e["k"] <= 2 for e in entries if e["n"] >= 3)
+
+    def test_interrupted_sweep_keeps_its_records(self, tmp_path, monkeypatch):
+        from geodetic import cli
+
+        def interrupted(bounds):
+            findings = sweep_validate(bounds)
+            yield next(findings)
+            yield next(findings)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "sweep_validate", interrupted)
+        dest = tmp_path / "findings.json"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--lmax", "3", "-o", str(dest)])
+        header, records = read_findings(dest)
+        assert header["L_max"] == 3
+        assert [r["spec"] for r in records] == [
+            "L=2 n=2 arcs=1,1,1,1 chords=1,1",
+            "L=3 n=2 arcs=1,1,2,2 chords=1,2",
+        ]
 
 
 class TestCor4:

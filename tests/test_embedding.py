@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import H1_SPEC, H2_SPEC
@@ -11,11 +11,7 @@ from geodetic import (
     EmbeddedSpec,
     GeodeticClass,
     GraphError,
-    adjacent_chord_cycle_lengths,
     build,
-    check_condition1,
-    check_condition2,
-    check_embeddedness,
     complete_graph,
     evaluate_spec,
     format_spec_line,
@@ -52,6 +48,18 @@ def arbitrary_specs(draw):
     n = draw(st.integers(2, L))
     arcs = tuple(draw(st.integers(1, 5)) for _ in range(2 * n))
     chords = tuple(draw(st.integers(1, 5)) for _ in range(n))
+    return EmbeddedSpec(L, n, arcs, chords)
+
+
+@st.composite
+def structured_specs(draw):
+    """Specs whose shape and arc sum are right; chords may be invalid."""
+    L = draw(st.integers(2, 8))
+    n = draw(st.integers(2, L))
+    cuts = sorted(draw(st.sets(st.integers(1, 2 * L - 1), min_size=2 * n - 1, max_size=2 * n - 1)))
+    pos = [0, *cuts, 2 * L]
+    arcs = tuple(b - a for a, b in zip(pos, pos[1:]))
+    chords = tuple(draw(st.integers(1, L + 1)) for _ in range(n))
     return EmbeddedSpec(L, n, arcs, chords)
 
 
@@ -144,37 +152,33 @@ class TestBuild:
 
 class TestCondition1:
     def test_h1(self, h1):
-        report = check_condition1(h1)
+        report = evaluate_spec(h1.spec).condition1
         assert report.ok
         assert [e.cycle_lengths for e in report.entries] == [(5, 5), (5, 3)]
 
     def test_h2(self):
-        report = check_condition1(H2_SPEC)
+        report = evaluate_spec(H2_SPEC).condition1
         assert report.ok
         assert all(e.cycle_lengths == (5, 5) for e in report.entries)
 
     def test_even_chord_arc_cycle_fails(self):
-        report = check_condition1(EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 2)))
+        report = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 2))).condition1
         assert not report.ok
         assert report.entries[1].cycle_lengths == (6, 4)
         assert not report.entries[1].all_odd
 
-    def test_broken_structure_rejected(self):
-        with pytest.raises(GraphError, match="structure is broken"):
-            check_condition1(EmbeddedSpec(3, 2, (1, 1, 1, 1), (2, 1)))
-
 
 class TestCondition2:
     def test_h1(self, h1):
-        report = check_condition2(h1)
+        report = evaluate_spec(h1.spec).condition2
         assert report.ok and report.lengths == (6, 6)
 
     def test_h2(self):
-        report = check_condition2(H2_SPEC)
+        report = evaluate_spec(H2_SPEC).condition2
         assert report.ok and report.lengths == (6, 6, 6)
 
     def test_unequal_cycle_fails(self):
-        report = check_condition2(EmbeddedSpec(3, 2, (2, 1, 2, 1), (2, 1)))
+        report = evaluate_spec(EmbeddedSpec(3, 2, (2, 1, 2, 1), (2, 1))).condition2
         assert not report.ok
         assert report.lengths == (7, 5)
 
@@ -183,7 +187,7 @@ class TestCondition2:
         # sum(chords) = L * (n - 1), whatever the chord validity.
         seen = 0
         for spec in small_specs():
-            if check_condition2(spec).ok:
+            if evaluate_spec(spec).condition2.ok:
                 seen += 1
                 assert sum(spec.chords) == spec.L * (spec.n - 1)
         assert seen > 50
@@ -191,11 +195,11 @@ class TestCondition2:
 
 class TestEmbeddedness:
     def test_fixtures_pass(self, h1):
-        assert check_embeddedness(h1).ok
-        assert check_embeddedness(H2_SPEC).ok
+        assert evaluate_spec(h1.spec).embeddedness.ok
+        assert evaluate_spec(H2_SPEC).embeddedness.ok
 
     def test_short_even_chord_arc_cycle(self):
-        report = check_embeddedness(EmbeddedSpec(4, 2, (2, 2, 2, 2), (2, 2)))
+        report = evaluate_spec(EmbeddedSpec(4, 2, (2, 2, 2, 2), (2, 2))).embeddedness
         assert not report.ok
         first = report.violations[0]
         assert first.kind == "chord_arc"
@@ -205,14 +209,15 @@ class TestEmbeddedness:
 
     def test_short_even_adjacent_chord_cycle(self):
         # Chord cycle lengths (1+1+1+1, ...) = 4 < 8 and even.
-        report = check_embeddedness(EmbeddedSpec(4, 2, (1, 3, 1, 3), (1, 1)))
+        report = evaluate_spec(EmbeddedSpec(4, 2, (1, 3, 1, 3), (1, 1))).embeddedness
         assert not report.ok
         assert any(v.kind == "adjacent_chords" and v.length == 4 for v in report.violations)
 
     def test_conditions_imply_embeddedness(self):
         for spec in small_specs():
-            if check_condition1(spec).ok and check_condition2(spec).ok:
-                assert check_embeddedness(spec).ok
+            report = evaluate_spec(spec)
+            if report.condition1.ok and report.condition2.ok:
+                assert report.embeddedness.ok
 
 
 class TestEvaluateSpec:
@@ -239,8 +244,48 @@ class TestEvaluateSpec:
         assert report.embeddedness is None
         assert report.predicted_class is None
 
-    def test_adjacent_lengths_helper_matches_report(self):
-        assert adjacent_chord_cycle_lengths(H1_SPEC) == check_condition2(H1_SPEC).lengths
+    @settings(max_examples=200)
+    @given(arbitrary_specs() | structured_specs())
+    @example(H1_SPEC)
+    @example(H2_SPEC)
+    def test_matches_inline_arithmetic(self, spec):
+        """Every field derived from the spec arithmetic, re-derived inline."""
+        report = evaluate_spec(spec)
+        if not report.validation.structure_ok:
+            assert report.condition1 is None and report.predicted_class is None
+            return
+        L, n, arcs, chords = spec.L, spec.n, spec.arcs, spec.chords
+        m = 2 * L
+        spans = [sum(arcs[i : i + n]) for i in range(n)]
+        chord_arc = [(c + s, c + m - s) for c, s in zip(chords, spans)]
+        adjacent = [
+            arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] for i in range(n)
+        ]
+        violations = [
+            ("chord_arc", (i,), ln, side)
+            for i, pair in enumerate(chord_arc)
+            for side, ln in zip(("cw", "ccw"), pair)
+            if ln % 2 == 0 and ln < m
+        ] + [
+            ("adjacent_chords", (i, (i + 1) % n), ln, None)
+            for i, ln in enumerate(adjacent)
+            if ln % 2 == 0 and ln < m
+        ]
+        holds = (
+            all(c < s and c < m - s for c, s in zip(chords, spans))
+            and all(ln % 2 == 1 for pair in chord_arc for ln in pair)
+            and all(ln == m for ln in adjacent)
+            and not violations
+        )
+        assert [e.cycle_lengths for e in report.condition1.entries] == chord_arc
+        assert list(report.condition2.lengths) == adjacent
+        assert [
+            (v.kind, v.chord_indices, v.length, v.arc_side)
+            for v in report.embeddedness.violations
+        ] == violations
+        expected = GeodeticClass(1 if n == 2 else 2) if holds else None
+        assert report.predicted_class == expected
+        assert report.all_conditions_hold == holds
 
 
 class TestSpecLineFormat:

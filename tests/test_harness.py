@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -60,12 +61,16 @@ def local_condition_satisfying_specs(l_max):
     return found
 
 
+def enumerated_specs(bounds):
+    return [report.spec for report in enumerate_specs(bounds)]
+
+
 class TestEnumerateSpecs:
     def test_smallest_space_is_the_complete4_spec(self):
-        assert list(enumerate_specs(SweepBounds(2))) == [K4_SPEC]
+        assert enumerated_specs(SweepBounds(2)) == [K4_SPEC]
 
     def test_l3_space(self):
-        assert list(enumerate_specs(SweepBounds(3))) == [
+        assert enumerated_specs(SweepBounds(3)) == [
             K4_SPEC,
             EmbeddedSpec(3, 2, (1, 1, 2, 2), (1, 2)),
             H1_SPEC,
@@ -83,14 +88,14 @@ class TestEnumerateSpecs:
         assert list(enumerate_specs(bounds)) == list(enumerate_specs(bounds))
 
     def test_matches_independent_enumeration(self):
-        ours = list(enumerate_specs(SweepBounds(4)))
+        ours = enumerated_specs(SweepBounds(4))
         theirs = local_condition_satisfying_specs(4)
         assert sorted(map(repr, ours)) == sorted(map(repr, theirs))
         assert len(ours) == 23
 
     def test_include_invalid_is_a_superset(self):
-        satisfying = set(enumerate_specs(SweepBounds(3)))
-        everything = list(enumerate_specs(SweepBounds(3, include_invalid=True)))
+        satisfying = set(enumerated_specs(SweepBounds(3)))
+        everything = enumerated_specs(SweepBounds(3, include_invalid=True))
         assert satisfying <= set(everything)
         assert len(everything) > len(satisfying)
         assert BOUNDARY_SPEC in set(everything)
@@ -227,7 +232,7 @@ class TestCorollary4Check:
 class TestSweepValidate:
     def test_l3_sweep_is_consistent(self):
         findings = list(sweep_validate(SweepBounds(3)))
-        assert [f.spec for f in findings] == list(enumerate_specs(SweepBounds(3)))
+        assert [f.spec for f in findings] == enumerated_specs(SweepBounds(3))
         for f in findings:
             assert f.consistent
             assert f.pair_property.holds
@@ -243,6 +248,30 @@ class TestSweepValidate:
         assert f.report.embeddedness is not None and f.report.embeddedness.ok
         assert not f.pair_property.holds
         assert f.consistent
+
+    def test_each_candidate_is_evaluated_once(self, monkeypatch):
+        from geodetic import embedding, harness
+
+        evaluated: Counter = Counter()
+        validations = 0
+        real_evaluate, real_validate = embedding.evaluate_spec, embedding.validate_spec
+
+        def counting_evaluate(spec):
+            evaluated[spec] += 1
+            return real_evaluate(spec)
+
+        def counting_validate(spec):
+            nonlocal validations
+            validations += 1
+            return real_validate(spec)
+
+        monkeypatch.setattr(harness, "evaluate_spec", counting_evaluate)
+        monkeypatch.setattr(embedding, "validate_spec", counting_validate)
+        findings = list(sweep_validate(SweepBounds(4)))
+        assert len(findings) == 23
+        assert sum(evaluated.values()) == 1012  # every L <= 4 candidate
+        assert max(evaluated.values()) == 1
+        assert validations <= 1012 + 23  # one per candidate, one per build
 
     def test_finding_record_shape(self):
         finding = next(iter(sweep_validate(SweepBounds(2))))

@@ -115,3 +115,12 @@ class TestFindingsFiles:
         with open(path, "w") as out:
             write_findings(out, {"L_max": 2}, [{"spec": "a"}, {"spec": "b"}])
         assert [r["spec"] for r in iter_findings(path)] == ["a", "b"]
+
+    def test_iter_findings_streams_up_to_a_cut_off_line(self, tmp_path):
+        path = tmp_path / "cut.json"
+        header = json.dumps(make_report("sweep-findings", {}))
+        path.write_text(header + "\n" + json.dumps({"spec": "a"}) + '\n{"spec": "b", "cons')
+        records = iter_findings(path)
+        assert next(records) == {"spec": "a"}
+        with pytest.raises(ReportError, match="line 3: not valid JSON"):
+            next(records)
