@@ -26,6 +26,7 @@ from .harness import (
     SearchLimits,
     SweepBounds,
     SweepFinding,
+    _cycle_length_bound,
     corollary4_check,
     finding_record,
     sweep_validate,
@@ -285,6 +286,8 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
         max_cycle_length=args.max_cycle_len,
     )
     verdicts = corollary4_check(g, limits)
+    scanned = _cycle_length_bound(g, limits)
+    exhaustive = scanned >= g.vertex_count
     payload = {
         "verdicts": [
             {
@@ -299,10 +302,17 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
         ],
         "oracle_k": verdicts[0].oracle_k if verdicts else None,
         "certified_nongeodetic": any(v.certified_nongeodetic for v in verdicts),
+        "scanned_max_length": scanned,
+        "exhaustive": exhaustive,
     }
     text = []
     if not verdicts:
-        text.append("no even cycle found; nothing to certify")
+        text.append(
+            "no even cycle found; nothing to certify"
+            if exhaustive
+            else f"no even cycle up to length {scanned}; the scan was capped, "
+            "so the result is inconclusive"
+        )
     for v in verdicts:
         head = f"minimal even cycle {' '.join(str(x) for x in v.cycle.vertices)}: "
         if v.match:

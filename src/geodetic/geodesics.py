@@ -7,7 +7,6 @@ Counts are exact Python integers, so multiplicities cannot overflow.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bfs_distances
@@ -51,12 +50,42 @@ class GeodesicProfile:
         return self.count[u][v]
 
 
+def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[int]]:
+    """Distances and shortest-path counts from ``s`` to every vertex within
+    ``depth`` of it; farther vertices keep distance None and count 0.
+
+    Breadth-first, one level at a time: a vertex first reached at level d
+    accumulates the path counts of all its level d-1 neighbours.
+    """
+    adjacency = g.adjacency
+    dist: list[int | None] = [None] * g.vertex_count
+    sigma = [0] * g.vertex_count
+    dist[s] = 0
+    sigma[s] = 1
+    frontier = [s]
+    level = 0
+    while frontier and level < depth:
+        level += 1
+        reached = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adjacency[v]:
+                dw = dist[w]
+                if dw is None:
+                    dist[w] = level
+                    sigma[w] = sv
+                    reached.append(w)
+                elif dw == level:
+                    sigma[w] += sv
+        frontier = reached
+    return dist, sigma
+
+
 def count_geodesics(g: Graph) -> GeodesicProfile:
     """Count shortest paths between all pairs by BFS multiplicity accumulation.
 
-    From each source, a vertex first reached at level d accumulates the path
-    counts of all its level d-1 neighbours.  Raises GraphError on the empty
-    graph or when some pair is unreachable.
+    Runs one unbounded :func:`_bfs_counts` per source.  Raises GraphError on
+    the empty graph or when some pair is unreachable.
     """
     n = g.vertex_count
     if n == 0:
@@ -64,20 +93,7 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
     dist_rows: list[tuple[int, ...]] = []
     count_rows: list[tuple[int, ...]] = []
     for s in range(n):
-        dist: list[int | None] = [None] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in g.adjacency[v]:
-                if dist[w] is None:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
+        dist, sigma = _bfs_counts(g, s, n)
         for v, d in enumerate(dist):
             if d is None:
                 raise GraphError(f"graph is disconnected: no path between {s} and {v}")
@@ -124,23 +140,25 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = 1000) -> GeodesicPa
         raise GraphError(f"graph is disconnected: no path between {u} and {v}")
     paths: list[tuple[int, ...]] = []
     truncated = False
-
-    def walk(vertex: int, acc: list[int]) -> None:
-        nonlocal truncated
-        if truncated:
-            return
+    # Depth-first over the BFS levels with an explicit stack, so paths of any
+    # length fit; children are pushed in reverse sorted order, so they pop
+    # in sorted order and paths come out lexicographically.
+    acc: list[int] = []
+    stack = [(u, 0)]
+    while stack:
+        vertex, level = stack.pop()
+        del acc[level:]
+        acc.append(vertex)
         if vertex == v:
             if len(paths) >= cap:
                 truncated = True
-            else:
-                paths.append(tuple(acc))
-            return
+                break
+            paths.append(tuple(acc))
+            continue
         here = to_v[vertex]
-        for w in sorted(g.adjacency[vertex]):
-            if to_v[w] == here - 1:  # type: ignore[operator]
-                acc.append(w)
-                walk(w, acc)
-                acc.pop()
-
-    walk(u, [u])
+        stack.extend(
+            (w, level + 1)
+            for w in sorted(g.adjacency[vertex], reverse=True)
+            if to_v[w] == here - 1  # type: ignore[operator]
+        )
     return GeodesicPaths(tuple(paths), truncated)

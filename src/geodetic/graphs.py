@@ -168,11 +168,6 @@ def is_connected(g: Graph) -> bool:
     return all(d is not None for d in table.dist)
 
 
-def all_pairs_distances(g: Graph) -> tuple[tuple[int | None, ...], ...]:
-    """Distance matrix via one BFS per vertex."""
-    return tuple(bfs_distances(g, s).dist for s in g.vertices())
-
-
 def diameter(g: Graph) -> int:
     """Largest distance between any two vertices; error if disconnected."""
     if g.vertex_count == 0:

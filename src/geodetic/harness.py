@@ -310,6 +310,13 @@ def find_chord_system(
     return ChordSystemSearch(None, not capped, tried)
 
 
+def _cycle_length_bound(g: Graph, limits: SearchLimits) -> int:
+    """The length bound the minimal-even-cycle scan of ``corollary4_check``
+    uses; below the vertex count it may miss every even cycle."""
+    cap = limits.max_cycle_length if limits.max_cycle_length is not None else g.vertex_count
+    return max(cap, 4)
+
+
 @dataclass(frozen=True)
 class Corollary4Verdict:
     """Outcome for one minimal even cycle.  ``certified_nongeodetic`` is set
@@ -331,8 +338,7 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> list[Co
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
-    cap = limits.max_cycle_length if limits.max_cycle_length is not None else g.vertex_count
-    length, cycles = minimal_even_cycles(g, max(cap, 4))
+    length, cycles = minimal_even_cycles(g, _cycle_length_bound(g, limits))
     if length is None:
         return []
     oracle_k = count_geodesics(g).k_value

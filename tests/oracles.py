@@ -79,3 +79,29 @@ def brute_cycles(g: Graph) -> set[tuple[int, ...]]:
                 if all(g.has_edge(seq[i], seq[(i + 1) % size]) for i in range(size)):
                     cycles.add(seq)
     return cycles
+
+
+def brute_lemma1(
+    g: Graph, max_len: int | None = None
+) -> tuple[int, bool, tuple[tuple[int, ...], tuple[int, int]] | None]:
+    """The even-cycle witness scan by exhaustive search.
+
+    Returns the scanned length bound (``max_len``, by default the vertex
+    count, at most the vertex count), whether it covered every length, and
+    the first even cycle in (length, vertex sequence) order within it that
+    has an opposite pair at distance |C|/2, with that pair; or None."""
+    n = g.vertex_count
+    cap = n if max_len is None else max_len
+    scanned = min(cap, n)
+    dist: dict[tuple[int, int], int | None] = {}
+    for c in sorted(brute_cycles(g), key=lambda c: (len(c), c)):
+        m = len(c)
+        if m % 2 or m > scanned:
+            continue
+        for i in range(m // 2):
+            pair = (c[i], c[i + m // 2])
+            if pair not in dist:
+                dist[pair] = brute_shortest_paths(g, *pair)[0]
+            if dist[pair] == m // 2:
+                return scanned, cap >= n, (c, pair)
+    return scanned, cap >= n, None

@@ -279,6 +279,21 @@ class TestCor4:
         assert rc == 0
         assert "no even cycle found; nothing to certify" in out
 
+    def test_capped_cycle_scan_is_inconclusive(self, tmp_path, capsys):
+        path = graph_file(tmp_path, cycle_graph(8))
+        rc = main(["cor4", path, "--max-cycle-len", "6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "no even cycle up to length 6; the scan was capped" in out
+        assert "inconclusive" in out
+        assert "nothing to certify" not in out
+        rc = main(["cor4", "--json", path, "--max-cycle-len", "6"])
+        report = report_of(capsys)
+        assert rc == 0
+        assert report["verdicts"] == []
+        assert report["scanned_max_length"] == 6
+        assert report["exhaustive"] is False
+
     def test_capped_search_is_inconclusive(self, tmp_path, capsys, petersen):
         rc = main(["cor4", graph_file(tmp_path, petersen), "--max-combos", "2"])
         out = capsys.readouterr().out
@@ -294,6 +309,8 @@ class TestCor4:
         assert report["oracle_k"] == 2
         assert len(report["verdicts"]) == 1
         assert report["verdicts"][0]["chord_system"] is None
+        assert report["scanned_max_length"] == 8
+        assert report["exhaustive"] is True
 
 
 class TestErrors:

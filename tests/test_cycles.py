@@ -18,7 +18,7 @@ from geodetic import (
     path_graph,
     validate_cycle_in,
 )
-from oracles import brute_cycles
+from oracles import brute_cycles, brute_lemma1, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, min_size=1, max_size=12)
@@ -167,6 +167,30 @@ class TestLemma1Scan:
         assert verdict.witness is not None
         assert verdict.witness.length == 8
         assert verdict.witness_pair == (2, 6)
+
+    def test_long_cycle_witness(self):
+        verdict = lemma1_scan(cycle_graph(1200))
+        assert verdict.witness is not None
+        assert verdict.witness.length == 1200
+        assert verdict.witness_pair == (0, 600)
+
+    def test_matches_brute_force_referee_on_corpus(self, corpus):
+        for g in corpus:
+            n = g.vertex_count
+            for max_len in [None, *range(4, n + 1)]:
+                verdict = lemma1_scan(g, max_len)
+                scanned, exhaustive, expected = brute_lemma1(g, max_len)
+                assert (verdict.scanned_max_length, verdict.exhaustive) == (scanned, exhaustive)
+                assert (verdict.witness is None) == (expected is None)
+                if expected is None:
+                    continue
+                c, (u, v) = verdict.witness, verdict.witness_pair
+                assert c.length == len(expected[0])
+                validate_cycle_in(g, c)
+                half = c.length // 2
+                i = c.vertices.index(u)
+                assert u < v and c.vertices[(i + half) % c.length] == v
+                assert brute_shortest_paths(g, u, v)[0] == half
 
     def test_short_max_len_is_inconclusive(self):
         verdict = lemma1_scan(cycle_graph(8), max_len=6)

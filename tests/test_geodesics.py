@@ -134,6 +134,13 @@ class TestEnumerateGeodesics:
         with pytest.raises(GraphError, match="no path"):
             enumerate_geodesics(g, 0, 3)
 
+    def test_long_paths_in_order(self):
+        # Each path has 1,201 vertices, deeper than the interpreter's
+        # default recursion limit.
+        r = enumerate_geodesics(cycle_graph(2400), 0, 1200)
+        assert r.paths == (tuple(range(1201)), (0,) + tuple(range(2399, 1199, -1)))
+        assert not r.truncated
+
     def test_counts_match_profile_on_petersen(self, petersen):
         p = count_geodesics(petersen)
         for u in petersen.vertices():
@@ -162,3 +169,15 @@ class TestEnumerateGeodesics:
             for a, b in zip(path, path[1:]):
                 assert g.has_edge(a, b)
                 assert p.distance(u, b) == p.distance(u, a) + 1
+
+    @settings(max_examples=40)
+    @given(edge_lists, st.integers(1, 4))
+    def test_first_paths_match_brute_force(self, edges, cap):
+        g = from_edge_list(edges)
+        if not is_connected(g) or g.vertex_count < 2:
+            return
+        u, v = 0, g.vertex_count - 1
+        _, brute = brute_shortest_paths(g, u, v)
+        r = enumerate_geodesics(g, u, v, cap=cap)
+        assert list(r.paths) == sorted(brute)[:cap]
+        assert r.truncated == (len(brute) > cap)

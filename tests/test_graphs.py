@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from geodetic import (
     GraphError,
-    all_pairs_distances,
     bfs_distances,
     complete_graph,
     cycle_graph,
@@ -127,7 +126,7 @@ class TestBfsDistances:
         g = from_edge_list(edges)
         if g.vertex_count == 0:
             return
-        tables = all_pairs_distances(g)
+        tables = [bfs_distances(g, s).dist for s in g.vertices()]
         for u, v in g.edges():
             assert tables[u][v] == 1
         for u in g.vertices():
@@ -172,7 +171,7 @@ class TestConnectivityAndDiameter:
         g = from_edge_list(edges)
         if g.vertex_count == 0 or not is_connected(g):
             return
-        d = all_pairs_distances(g)
+        d = [bfs_distances(g, s).dist for s in g.vertices()]
         for u in g.vertices():
             for v in g.vertices():
                 for w in g.vertices():
