@@ -1,4 +1,4 @@
-"""Simple cycle enumeration and the even-cycle witness test for geodeticity.
+"""Minimal even cycles and the even-cycle witness test for geodeticity.
 
 A connected graph fails to be geodetic exactly when it contains an even
 cycle C with a diametrically opposite vertex pair (u, v) whose distance in
@@ -7,7 +7,10 @@ Conversely, any two geodesics of a closest pair joined by more than one
 share no inner vertex and close up into such a cycle, so the shortest
 witness has length 2·min{d(u, v) : σ(u, v) >= 2}, where σ counts shortest
 paths.  ``lemma1_scan`` finds it by breadth-first path counting in O(n·m)
-time; only the chord-system certifier still enumerates cycles.
+time.  The chord-system certifier needs only the shortest even cycles;
+``minimal_even_cycles`` finds them by a canonical depth-first search whose
+length bound doubles from 4, so no round searches past twice the even
+girth.
 """
 
 from __future__ import annotations
@@ -60,15 +63,6 @@ def validate_cycle_in(g: Graph, c: CycleView) -> None:
 
 
 @dataclass(frozen=True)
-class OppositePair:
-    """Two vertices half a cycle apart; ``arc_length`` is |C|/2."""
-
-    u: int
-    v: int
-    arc_length: int
-
-
-@dataclass(frozen=True)
 class Lemma1Verdict:
     """Outcome of the witness scan.
 
@@ -87,65 +81,54 @@ class Lemma1Verdict:
     witness_pair: tuple[int, int] | None = None
 
 
-def enumerate_cycles(g: Graph, max_len: int) -> list[CycleView]:
-    """All simple cycles with at most ``max_len`` edges, each exactly once.
-
-    Rooted DFS with canonical-form pruning: a path is only grown from its
-    smallest vertex through larger ones, and a closure is recorded only in
-    the direction whose second vertex is smaller than its last.  Results
-    are sorted by (length, vertex sequence).
-    """
-    if max_len < 3:
-        raise GraphError("max_len must be >= 3")
-    adj_sorted = [sorted(nbrs) for nbrs in g.adjacency]
-    found: list[CycleView] = []
-    path: list[int] = []
-    on_path = [False] * g.vertex_count
-
-    def grow(root: int, vertex: int) -> None:
-        for w in adj_sorted[vertex]:
-            if w == root:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    found.append(CycleView(tuple(path)))
-            elif w > root and not on_path[w] and len(path) < max_len:
-                path.append(w)
-                on_path[w] = True
-                grow(root, w)
-                path.pop()
-                on_path[w] = False
-
-    for root in g.vertices():
-        path = [root]
-        grow(root, root)
-    found.sort(key=lambda c: (c.length, c.vertices))
-    return found
-
-
 def minimal_even_cycles(g: Graph, max_len: int) -> tuple[int | None, list[CycleView]]:
-    """Shortest even cycle length within ``max_len`` and all cycles of that length."""
+    """Shortest even cycle length within ``max_len`` and all cycles of that
+    length, sorted by vertex sequence; ``(None, [])`` when there is none.
+
+    Rooted depth-first search in canonical form: a path grows from the
+    smallest vertex of its cycle through larger ones only, and a closure is
+    recorded only in the direction whose second vertex is smaller than its
+    last.  The search runs with length bounds 4, 8, 16, ..., each capped at
+    ``max_len``, and stops at the first bound that yields an even cycle;
+    within a round the bound drops to the shortest even cycle found.  The
+    last round's bound is below twice the even girth, and the bounds of all
+    rounds sum to less than twice the last, so the cost is about that of
+    listing the canonical paths up to twice the even girth, not every cycle
+    of ``g``: on a bare n-cycle O(n²) steps, where raising the bound by 2
+    per round would take O(n³).
+    """
     if max_len < 4:
         raise GraphError("max_len must be >= 4")
-    best: int | None = None
-    cycles: list[CycleView] = []
-    for c in enumerate_cycles(g, max_len):
-        if c.length % 2:
-            continue
-        if best is None:
-            best = c.length
-        if c.length == best:
-            cycles.append(c)
-        else:
-            break  # enumeration is length-sorted
-    return best, cycles
-
-
-def c_opposite_pairs(c: CycleView) -> list[OppositePair]:
-    """The |C|/2 diametrically opposite vertex pairs of an even cycle."""
-    m = c.length
-    if m % 2:
-        raise GraphError(f"cycle of odd length {m} has no opposite pairs")
-    half = m // 2
-    return [OppositePair(c.vertices[i], c.vertices[i + half], half) for i in range(half)]
+    adj_sorted = [sorted(nbrs) for nbrs in g.adjacency]
+    on_path = [False] * g.vertex_count
+    bound = 4
+    while True:
+        limit = min(bound, max_len)
+        found: list[tuple[int, ...]] = []
+        for root in g.vertices():
+            path = [root]
+            stack = [iter(adj_sorted[root])]
+            while stack:
+                for w in stack[-1]:
+                    if w == root:
+                        k = len(path)
+                        if k >= 4 and k % 2 == 0 and path[1] < path[-1]:
+                            if k < limit:
+                                limit, found = k, []
+                            found.append(tuple(path))
+                    elif w > root and not on_path[w] and len(path) < limit:
+                        path.append(w)
+                        on_path[w] = True
+                        stack.append(iter(adj_sorted[w]))
+                        break
+                else:
+                    stack.pop()
+                    on_path[path.pop()] = False
+        if found:
+            return limit, [CycleView(c) for c in sorted(found)]
+        if bound >= max_len or bound >= g.vertex_count:
+            return None, []
+        bound *= 2
 
 
 def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:

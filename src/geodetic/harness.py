@@ -186,6 +186,14 @@ class SearchLimits:
     max_combinations: int = 250_000
     max_cycle_length: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_cycle_length is not None and self.max_cycle_length < 4:
+            raise GraphError("max_cycle_length must be >= 4")
+        if self.max_paths_per_pair < 1:
+            raise GraphError("max_paths_per_pair must be >= 1")
+        if self.max_combinations < 0:
+            raise GraphError("max_combinations must be >= 0")
+
 
 @dataclass(frozen=True)
 class ChordSystemMatch:
@@ -270,6 +278,8 @@ def find_chord_system(
         raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
     big_l = m // 2
     candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
+    if not candidates:
+        return ChordSystemSearch(None, not capped, 0)
     tried = 0
     for n in range(2, big_l + 1):
         for subset in combinations(range(m), 2 * n):

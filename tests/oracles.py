@@ -81,6 +81,19 @@ def brute_cycles(g: Graph) -> set[tuple[int, ...]]:
     return cycles
 
 
+def brute_minimal_even_cycles(
+    g: Graph, max_len: int
+) -> tuple[int | None, list[tuple[int, ...]]]:
+    """The least even cycle length up to ``max_len`` and the canonical
+    vertex tuples of every cycle of that length, sorted; ``(None, [])``
+    when there is none."""
+    even = [c for c in brute_cycles(g) if len(c) % 2 == 0 and len(c) <= max_len]
+    if not even:
+        return None, []
+    best = min(len(c) for c in even)
+    return best, sorted(c for c in even if len(c) == best)
+
+
 def brute_lemma1(
     g: Graph, max_len: int | None = None
 ) -> tuple[int, bool, tuple[tuple[int, ...], tuple[int, int]] | None]:

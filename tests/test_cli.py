@@ -294,6 +294,16 @@ class TestCor4:
         assert report["scanned_max_length"] == 6
         assert report["exhaustive"] is False
 
+    @pytest.mark.parametrize(
+        "option, value", [("--max-cycle-len", "-5"), ("--max-paths", "0"), ("--max-combos", "-1")]
+    )
+    def test_out_of_range_cap_is_a_usage_error(self, tmp_path, capsys, option, value):
+        rc = main(["cor4", "--json", graph_file(tmp_path, cycle_graph(8)), option, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_capped_search_is_inconclusive(self, tmp_path, capsys, petersen):
         rc = main(["cor4", graph_file(tmp_path, petersen), "--max-combos", "2"])
         out = capsys.readouterr().out

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from geodetic import (
     CycleView,
     GraphError,
-    c_opposite_pairs,
     complete_graph,
     cycle_graph,
     cycle_with_chord,
-    enumerate_cycles,
     from_edge_list,
     lemma1_scan,
     minimal_even_cycles,
     path_graph,
     validate_cycle_in,
 )
-from oracles import brute_cycles, brute_lemma1, brute_shortest_paths
+from oracles import brute_lemma1, brute_minimal_even_cycles, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, min_size=1, max_size=12)
@@ -53,49 +51,6 @@ class TestCycleView:
             validate_cycle_in(g, CycleView.from_sequence((0, 1, 3)))
 
 
-class TestEnumerateCycles:
-    def test_complete4(self):
-        cycles = enumerate_cycles(complete_graph(4), 4)
-        assert [c.vertices for c in cycles] == [
-            (0, 1, 2),
-            (0, 1, 3),
-            (0, 2, 3),
-            (1, 2, 3),
-            (0, 1, 2, 3),
-            (0, 1, 3, 2),
-            (0, 2, 1, 3),
-        ]
-
-    def test_cycle6(self):
-        cycles = enumerate_cycles(cycle_graph(6), 6)
-        assert [c.vertices for c in cycles] == [(0, 1, 2, 3, 4, 5)]
-
-    def test_tree_has_none(self):
-        assert enumerate_cycles(path_graph(5), 5) == []
-
-    def test_max_len_truncates(self):
-        assert enumerate_cycles(complete_graph(4), 3) == enumerate_cycles(complete_graph(4), 4)[:4]
-
-    def test_bad_max_len_rejected(self):
-        with pytest.raises(GraphError, match="max_len"):
-            enumerate_cycles(cycle_graph(4), 2)
-
-    @settings(max_examples=50)
-    @given(edge_lists)
-    def test_matches_brute_force(self, edges):
-        g = from_edge_list(edges)
-        found = {c.vertices for c in enumerate_cycles(g, max(3, g.vertex_count))}
-        assert found == brute_cycles(g)
-
-    @settings(max_examples=30)
-    @given(edge_lists)
-    def test_every_cycle_is_valid_and_canonical(self, edges):
-        g = from_edge_list(edges)
-        for c in enumerate_cycles(g, max(3, g.vertex_count)):
-            validate_cycle_in(g, c)
-            assert CycleView.from_sequence(c.vertices) == c
-
-
 class TestMinimalEvenCycles:
     def test_chorded_c8(self, c8_chord):
         length, cycles = minimal_even_cycles(c8_chord, 8)
@@ -110,24 +65,51 @@ class TestMinimalEvenCycles:
         assert length == 4
         assert [c.vertices for c in cycles] == [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
 
+    def test_cycle6(self):
+        assert minimal_even_cycles(cycle_graph(6), 6) == (6, [CycleView((0, 1, 2, 3, 4, 5))])
+
+    def test_tree_has_none(self):
+        assert minimal_even_cycles(path_graph(5), 5) == (None, [])
+
+    def test_max_len_below_even_girth(self):
+        assert minimal_even_cycles(cycle_graph(10), 9) == (None, [])
+        assert minimal_even_cycles(cycle_graph(10), 10)[0] == 10
+
+    def test_long_cycle(self):
+        # A recursive search would exceed the interpreter's recursion limit.
+        assert minimal_even_cycles(cycle_graph(1200), 1200) == (
+            1200,
+            [CycleView(tuple(range(1200)))],
+        )
+
     def test_bad_max_len_rejected(self):
         with pytest.raises(GraphError, match="max_len"):
             minimal_even_cycles(cycle_graph(4), 3)
 
+    def test_matches_brute_force_referee_on_corpus(self, corpus):
+        for g in corpus:
+            for max_len in range(4, max(g.vertex_count, 4) + 1):
+                length, cycles = minimal_even_cycles(g, max_len)
+                assert (length, [c.vertices for c in cycles]) == brute_minimal_even_cycles(
+                    g, max_len
+                )
 
-class TestOppositePairs:
-    def test_cycle4(self):
-        pairs = c_opposite_pairs(CycleView.from_sequence((0, 1, 2, 3)))
-        assert [(p.u, p.v, p.arc_length) for p in pairs] == [(0, 2, 2), (1, 3, 2)]
+    @settings(max_examples=50)
+    @given(edge_lists, st.integers(4, 8))
+    def test_matches_brute_force(self, edges, max_len):
+        g = from_edge_list(edges)
+        length, cycles = minimal_even_cycles(g, max_len)
+        assert (length, [c.vertices for c in cycles]) == brute_minimal_even_cycles(g, max_len)
 
-    def test_cycle6(self):
-        pairs = c_opposite_pairs(CycleView.from_sequence((0, 1, 2, 3, 4, 5)))
-        assert [(p.u, p.v) for p in pairs] == [(0, 3), (1, 4), (2, 5)]
-        assert all(p.arc_length == 3 for p in pairs)
-
-    def test_odd_cycle_rejected(self):
-        with pytest.raises(GraphError, match="odd length 5"):
-            c_opposite_pairs(CycleView.from_sequence((0, 1, 2, 3, 4)))
+    @settings(max_examples=30)
+    @given(edge_lists)
+    def test_every_cycle_is_valid_and_canonical(self, edges):
+        g = from_edge_list(edges)
+        length, cycles = minimal_even_cycles(g, max(4, g.vertex_count))
+        for c in cycles:
+            validate_cycle_in(g, c)
+            assert CycleView.from_sequence(c.vertices) == c
+            assert c.length == length and length % 2 == 0
 
 
 class TestLemma1Scan:

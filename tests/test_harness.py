@@ -222,6 +222,24 @@ class TestCorollary4Check:
     def test_cycle_length_cap_limits_the_scan(self):
         assert corollary4_check(cycle_graph(8), SearchLimits(max_cycle_length=6)) == []
 
+    def test_long_bare_cycle_is_certified_at_once(self):
+        # No candidate chord exists, so no endpoint subset is tried.
+        verdicts = corollary4_check(cycle_graph(30))
+        assert len(verdicts) == 1
+        assert verdicts[0].search_exhausted and verdicts[0].certified_nongeodetic
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_cycle_length": 3}, "max_cycle_length must be >= 4"),
+            ({"max_paths_per_pair": 0}, "max_paths_per_pair must be >= 1"),
+            ({"max_combinations": -1}, "max_combinations must be >= 0"),
+        ],
+    )
+    def test_out_of_range_limits_rejected(self, kwargs, message):
+        with pytest.raises(GraphError, match=message):
+            SearchLimits(**kwargs)
+
     def test_disconnected_rejected(self):
         from geodetic import from_edge_list
 
