@@ -2,16 +2,19 @@
 
 Everything here favours transparent exhaustive search over the algorithms
 under test: shortest paths come from enumerating simple paths with a
-best-length bound, never from BFS multiplicity accumulation, and cycles
-from testing every cyclic vertex arrangement.  Agreement between these
-and the fast implementations is therefore meaningful evidence.
+best-length bound, never from BFS multiplicity accumulation, cycles
+from testing every cyclic vertex arrangement, and sweep specs from
+evaluating every chord tuple.  Agreement between these and the fast
+implementations is therefore meaningful evidence.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from typing import Iterator
 
-from geodetic import Graph
+from geodetic import ConditionReport, EmbeddedSpec, Graph, SweepBounds, evaluate_spec
+from geodetic.harness import compositions
 
 
 def brute_shortest_paths(g: Graph, u: int, v: int) -> tuple[int | None, list[tuple[int, ...]]]:
@@ -118,3 +121,19 @@ def brute_lemma1(
             if dist[pair] == m // 2:
                 return scanned, cap >= n, (c, pair)
     return scanned, cap >= n, None
+
+
+def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
+    """The spec sweep by generate and test: every arc composition with
+    every chord tuple in [1, L-1]^n, each evaluated and kept when the
+    sweep's filter accepts it.  Same order as ``enumerate_specs``: L
+    ascending, then n, then arcs and chords in lexicographic order."""
+    for big_l in range(2, bounds.L_max + 1):
+        for n in range(2, big_l + 1):
+            for arcs in compositions(2 * big_l, 2 * n):
+                for chords in product(range(1, big_l), repeat=n):
+                    report = evaluate_spec(EmbeddedSpec(big_l, n, arcs, chords))
+                    if report.all_conditions_hold or (
+                        bounds.include_invalid and report.validation.ok
+                    ):
+                        yield report

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -13,7 +14,6 @@ from geodetic import (
     SearchLimits,
     SweepBounds,
     build,
-    compositions,
     corollary4_check,
     count_geodesics,
     cycle_graph,
@@ -25,6 +25,8 @@ from geodetic import (
     sweep_validate,
     theorem2_pair_property,
 )
+from geodetic.harness import compositions
+from oracles import brute_enumerate_specs
 
 K4_SPEC = EmbeddedSpec(2, 2, (1, 1, 1, 1), (1, 1))
 
@@ -99,6 +101,29 @@ class TestEnumerateSpecs:
         assert satisfying <= set(everything)
         assert len(everything) > len(satisfying)
         assert BOUNDARY_SPEC in set(everything)
+
+    @pytest.mark.parametrize("include_invalid", [False, True])
+    @pytest.mark.parametrize("l_max", [2, 3, 4, 5])
+    def test_matches_generate_and_test(self, l_max, include_invalid):
+        bounds = SweepBounds(l_max, include_invalid)
+        assert list(enumerate_specs(bounds)) == list(brute_enumerate_specs(bounds))
+
+    def test_cell_counts_follow_the_binomial(self):
+        """Each (L, n) cell with 2 <= n <= L <= 10 holds C(L+n-1, 2n-1)
+        condition-satisfying specs.  The formula is observed on these 45
+        cells, not proved; the totals are 211, 1,560 and 10,890 specs at
+        L_max = 6, 8 and 10."""
+        cells = Counter((r.spec.L, r.spec.n) for r in enumerate_specs(SweepBounds(10)))
+        assert cells == {
+            (big_l, n): comb(big_l + n - 1, 2 * n - 1)
+            for big_l in range(2, 11)
+            for n in range(2, big_l + 1)
+        }
+        totals = {
+            l_max: sum(count for (big_l, _), count in cells.items() if big_l <= l_max)
+            for l_max in (6, 8, 10)
+        }
+        assert totals == {6: 211, 8: 1560, 10: 10890}
 
     def test_compositions(self):
         assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
@@ -287,9 +312,9 @@ class TestSweepValidate:
         monkeypatch.setattr(embedding, "validate_spec", counting_validate)
         findings = list(sweep_validate(SweepBounds(4)))
         assert len(findings) == 23
-        assert sum(evaluated.values()) == 1012  # every L <= 4 candidate
+        assert sum(evaluated.values()) == 50  # condition 2's solutions in [1, L-1]^n
         assert max(evaluated.values()) == 1
-        assert validations <= 1012 + 23  # one per candidate, one per build
+        assert validations <= 50 + 23  # one per candidate, one per build
 
     def test_finding_record_shape(self):
         finding = next(iter(sweep_validate(SweepBounds(2))))
