@@ -12,8 +12,8 @@ import sys
 
 from geodetic import (
     EmbeddedSpec,
+    GeodeticClass,
     build,
-    classify_k,
     complete_graph,
     corollary4_check,
     count_geodesics,
@@ -43,11 +43,11 @@ EMBEDDED = [
 
 def describe(name: str, g) -> None:
     profile = count_geodesics(g)
-    cls = classify_k(profile)
+    cls = GeodeticClass(profile.k_value)
     line = f"{name}: {cls}"
     if cls.k > 1:
         u, v = profile.witness_pair
-        line += f" (pair ({u}, {v}): {profile.geodesic_count(u, v)} geodesics)"
+        line += f" (pair ({u}, {v}): {profile.k_value} geodesics)"
     print(line)
 
     verdict = lemma1_scan(g)
@@ -60,7 +60,7 @@ def describe(name: str, g) -> None:
             f"with pair ({u}, {v})"
         )
 
-    verdicts = corollary4_check(g)
+    verdicts = corollary4_check(g).verdicts
     certified = sum(v.certified_nongeodetic for v in verdicts)
     matched = sum(v.match is not None for v in verdicts)
     if not verdicts:

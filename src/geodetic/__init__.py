@@ -10,21 +10,13 @@ from __future__ import annotations
 
 from .cycles import (
     CycleView,
-    Lemma1Verdict,
     lemma1_scan,
     minimal_even_cycles,
     validate_cycle_in,
 )
 from .embedding import (
-    ChordArcParity,
-    Condition1Report,
-    Condition2Report,
     ConditionReport,
-    EmbeddedGraph,
     EmbeddedSpec,
-    EmbeddednessReport,
-    ForbiddenCycle,
-    SpecValidation,
     build,
     evaluate_spec,
     format_spec_line,
@@ -41,34 +33,21 @@ from .families import (
     subdivided_k4,
 )
 from .geodesics import (
-    GeodesicPaths,
-    GeodesicProfile,
     GeodeticClass,
-    classify_k,
     count_geodesics,
     enumerate_geodesics,
 )
 from .graphs import (
-    DistanceTable,
     Graph,
     GraphError,
-    bfs_distances,
-    diameter,
     format_edge_list,
     from_edge_list,
     is_connected,
-    load_edge_list,
     parse_edge_list,
 )
 from .harness import (
-    ChordSystemMatch,
-    ChordSystemSearch,
-    Corollary4Verdict,
-    PairPropertyReport,
-    PairViolation,
     SearchLimits,
     SweepBounds,
-    SweepFinding,
     corollary4_check,
     enumerate_specs,
     find_chord_system,
@@ -77,16 +56,11 @@ from .harness import (
     theorem2_pair_property,
 )
 from .homeomorph import (
-    SegmentDecomposition,
-    Theorem1Report,
     decompose_segments,
-    four_segment_cycles,
     is_homeomorphic_to_k4,
     theorem1_check,
-    three_segment_cycles,
 )
 from .reports import (
-    SCHEMA,
     ReportError,
     dump_report,
     iter_findings,
@@ -99,45 +73,22 @@ from .reports import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChordArcParity",
-    "ChordSystemMatch",
-    "ChordSystemSearch",
-    "Condition1Report",
-    "Condition2Report",
     "ConditionReport",
-    "Corollary4Verdict",
     "CycleView",
-    "DistanceTable",
-    "EmbeddedGraph",
     "EmbeddedSpec",
-    "EmbeddednessReport",
-    "ForbiddenCycle",
-    "GeodesicPaths",
-    "GeodesicProfile",
     "GeodeticClass",
     "Graph",
     "GraphError",
-    "Lemma1Verdict",
-    "PairPropertyReport",
-    "PairViolation",
     "ReportError",
-    "SCHEMA",
     "SearchLimits",
-    "SegmentDecomposition",
-    "SpecValidation",
     "SweepBounds",
-    "SweepFinding",
-    "Theorem1Report",
-    "bfs_distances",
     "build",
-    "classify_k",
     "complete_graph",
     "corollary4_check",
     "count_geodesics",
     "cycle_graph",
     "cycle_with_chord",
     "decompose_segments",
-    "diameter",
     "dump_report",
     "enumerate_geodesics",
     "enumerate_specs",
@@ -146,13 +97,11 @@ __all__ = [
     "finding_record",
     "format_edge_list",
     "format_spec_line",
-    "four_segment_cycles",
     "from_edge_list",
     "is_connected",
     "is_homeomorphic_to_k4",
     "iter_findings",
     "lemma1_scan",
-    "load_edge_list",
     "load_report",
     "make_report",
     "minimal_even_cycles",
@@ -162,10 +111,10 @@ __all__ = [
     "path_graph",
     "petersen_graph",
     "read_findings",
+    "subdivided_k4",
     "sweep_validate",
     "theorem1_check",
     "theorem2_pair_property",
-    "three_segment_cycles",
     "validate_cycle_in",
     "validate_spec",
     "write_findings",

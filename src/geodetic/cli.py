@@ -20,13 +20,12 @@ from .embedding import (
     format_spec_line,
     parse_spec_line,
 )
-from .geodesics import classify_k, count_geodesics, enumerate_geodesics
+from .geodesics import GeodeticClass, count_geodesics, enumerate_geodesics
 from .graphs import GraphError, format_edge_list, load_edge_list
 from .harness import (
     SearchLimits,
     SweepBounds,
     SweepFinding,
-    _cycle_length_bound,
     corollary4_check,
     finding_record,
     sweep_validate,
@@ -47,20 +46,20 @@ def _emit(args: argparse.Namespace, command: str, payload: dict, text: list[str]
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph)
     profile = count_geodesics(g)
-    cls = classify_k(profile)
+    cls = GeodeticClass(profile.k_value)
     u, v = profile.witness_pair
     payload = {
         "k": cls.k,
         "class": cls.label,
         "witness_pair": [u, v],
-        "witness_distance": profile.distance(u, v),
-        "witness_count": profile.geodesic_count(u, v),
+        "witness_distance": profile.witness_distance,
+        "witness_count": profile.k_value,
     }
     text = [str(cls)]
     if cls.k > 1:
         text.append(
-            f"witness pair ({u}, {v}): {profile.geodesic_count(u, v)} geodesics "
-            f"of length {profile.distance(u, v)}"
+            f"witness pair ({u}, {v}): {profile.k_value} geodesics "
+            f"of length {profile.witness_distance}"
         )
         sample = enumerate_geodesics(g, u, v, cap=4)
         payload["witness_geodesics"] = [list(p) for p in sample.paths]
@@ -285,9 +284,8 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
         max_combinations=args.max_combos,
         max_cycle_length=args.max_cycle_len,
     )
-    verdicts = corollary4_check(g, limits)
-    scanned = _cycle_length_bound(g, limits)
-    exhaustive = scanned >= g.vertex_count
+    report = corollary4_check(g, limits)
+    verdicts, scanned, exhaustive = report.verdicts, report.scanned_max_length, report.exhaustive
     payload = {
         "verdicts": [
             {
@@ -300,7 +298,7 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
             }
             for v in verdicts
         ],
-        "oracle_k": verdicts[0].oracle_k if verdicts else None,
+        "oracle_k": report.oracle_k,
         "certified_nongeodetic": any(v.certified_nongeodetic for v in verdicts),
         "scanned_max_length": scanned,
         "exhaustive": exhaustive,

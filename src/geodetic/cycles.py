@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geodesics import _bfs_counts, enumerate_geodesics
-from .graphs import Graph, GraphError, is_connected
+from .geodesics import enumerate_geodesics
+from .graphs import Graph, GraphError, _bfs_counts, is_connected
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bfs_distances
+from .graphs import Graph, GraphError, _bfs_counts
 
 
 @dataclass(frozen=True)
@@ -28,90 +28,41 @@ class GeodeticClass:
 
 @dataclass(frozen=True)
 class GeodesicProfile:
-    """Per-pair distances and shortest-path counts for a connected graph.
+    """The largest shortest-path count of a connected graph and where it is
+    first reached.
 
     ``witness_pair`` is the lexicographically first pair attaining
-    ``k_value``, so repeated runs report the same witness.
+    ``k_value``, so repeated runs report the same witness; it is joined by
+    ``k_value`` geodesics of length ``witness_distance``.  A geodetic graph
+    reports the pair (0, 0) at distance 0.
     """
 
-    dist: tuple[tuple[int, ...], ...]
-    count: tuple[tuple[int, ...], ...]
+    vertex_count: int
     k_value: int
     witness_pair: tuple[int, int]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.dist)
-
-    def distance(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
-    def geodesic_count(self, u: int, v: int) -> int:
-        return self.count[u][v]
-
-
-def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[int]]:
-    """Distances and shortest-path counts from ``s`` to every vertex within
-    ``depth`` of it; farther vertices keep distance None and count 0.
-
-    Breadth-first, one level at a time: a vertex first reached at level d
-    accumulates the path counts of all its level d-1 neighbours.
-    """
-    adjacency = g.adjacency
-    dist: list[int | None] = [None] * g.vertex_count
-    sigma = [0] * g.vertex_count
-    dist[s] = 0
-    sigma[s] = 1
-    frontier = [s]
-    level = 0
-    while frontier and level < depth:
-        level += 1
-        reached = []
-        for v in frontier:
-            sv = sigma[v]
-            for w in adjacency[v]:
-                dw = dist[w]
-                if dw is None:
-                    dist[w] = level
-                    sigma[w] = sv
-                    reached.append(w)
-                elif dw == level:
-                    sigma[w] += sv
-        frontier = reached
-    return dist, sigma
+    witness_distance: int
 
 
 def count_geodesics(g: Graph) -> GeodesicProfile:
     """Count shortest paths between all pairs by BFS multiplicity accumulation.
 
-    Runs one unbounded :func:`_bfs_counts` per source.  Raises GraphError on
-    the empty graph or when some pair is unreachable.
+    Runs one unbounded BFS per source and keeps only the running maximum,
+    so memory stays linear in the graph.  Raises GraphError on the empty
+    graph or when some pair is unreachable.
     """
     n = g.vertex_count
     if n == 0:
         raise GraphError("cannot profile the empty graph")
-    dist_rows: list[tuple[int, ...]] = []
-    count_rows: list[tuple[int, ...]] = []
-    for s in range(n):
-        dist, sigma = _bfs_counts(g, s, n)
-        for v, d in enumerate(dist):
-            if d is None:
-                raise GraphError(f"graph is disconnected: no path between {s} and {v}")
-        dist_rows.append(tuple(dist))  # type: ignore[arg-type]
-        count_rows.append(tuple(sigma))
-    k_value, witness = 1, (0, 0)
+    k_value, witness, witness_distance = 1, (0, 0), 0
     for u in range(n):
-        for v in range(u + 1, n):
-            if count_rows[u][v] > k_value:
-                k_value, witness = count_rows[u][v], (u, v)
-    return GeodesicProfile(tuple(dist_rows), tuple(count_rows), k_value, witness)
-
-
-def classify_k(profile: GeodesicProfile) -> GeodeticClass:
-    """Map a profile's maximum multiplicity to its class."""
-    if profile.k_value < 1:
-        raise GraphError(f"profile has impossible k_value {profile.k_value}")
-    return GeodeticClass(profile.k_value)
+        dist, sigma = _bfs_counts(g, u, n)
+        if None in dist:
+            raise GraphError(f"graph is disconnected: no path between {u} and {dist.index(None)}")
+        top = max(sigma[u + 1 :], default=0)
+        if top > k_value:
+            v = sigma.index(top, u + 1)
+            k_value, witness, witness_distance = top, (u, v), dist[v]
+    return GeodesicProfile(n, k_value, witness, witness_distance)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -135,7 +86,7 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = 1000) -> GeodesicPa
     n = g.vertex_count
     if not (0 <= u < n and 0 <= v < n):
         raise GraphError(f"({u}, {v}) is not a vertex pair of this graph")
-    to_v = bfs_distances(g, v).dist
+    to_v = _bfs_counts(g, v, n)[0]
     if to_v[u] is None:
         raise GraphError(f"graph is disconnected: no path between {u} and {v}")
     paths: list[tuple[int, ...]] = []

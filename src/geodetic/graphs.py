@@ -1,4 +1,5 @@
-"""Immutable simple undirected graphs with BFS distances and edge-list I/O.
+"""Immutable simple undirected graphs, breadth-first path counting, and
+edge-list I/O.
 
 Vertices are the integers ``0 .. vertex_count-1``.  The interchange format is
 a plain text edge list: one edge per line as two whitespace-separated
@@ -7,7 +8,6 @@ non-negative integers, with blank lines and ``#`` comments ignored.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -93,12 +93,9 @@ def from_edge_list(edges: Iterable[tuple[int, int]], *, vertex_count: int | None
     return Graph(tuple(frozenset(s) for s in nbrs))
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format.
-
-    Each non-blank, non-comment line must hold exactly two non-negative
-    integers.  Errors report the offending line and its 1-based number.
-    """
+def _edge_lines(text: str) -> list[tuple[int, int]]:
+    """The edges of the edge-list text format, one per non-blank,
+    non-comment line, with errors naming the offending line."""
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -116,7 +113,16 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise GraphError(f"line {lineno}: self-loop in {raw!r}")
         edges.append((u, v))
-    return from_edge_list(edges)
+    return edges
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format.
+
+    Each non-blank, non-comment line must hold exactly two non-negative
+    integers.  Errors report the offending line and its 1-based number.
+    """
+    return from_edge_list(_edge_lines(text))
 
 
 def format_edge_list(g: Graph, *, header: str | None = None) -> str:
@@ -127,34 +133,54 @@ def format_edge_list(g: Graph, *, header: str | None = None) -> str:
 
 
 def load_edge_list(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    """Read an edge-list file whose every vertex lies on an edge.
+
+    k edge lines touch at most 2k vertices, so a larger vertex id leaves a
+    vertex on no edge and the graph disconnected.  Such a file is refused
+    before an adjacency set is allocated per id, so one huge id cannot
+    exhaust memory.
+    """
+    edges = _edge_lines(Path(path).read_text())
+    top = max(map(max, edges), default=-1)
+    if top + 1 > 2 * len(edges):
+        raise GraphError(
+            f"vertex id {top} implies {top + 1} vertices, more than twice the "
+            f"number of edge lines ({len(edges)}), so some vertex lies on no edge"
+        )
+    return from_edge_list(edges)
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """BFS distances from ``source``; ``None`` marks an unreachable vertex."""
+def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[int]]:
+    """Distances and shortest-path counts from ``s`` to every vertex within
+    ``depth`` of it; farther vertices keep distance None and count 0.
 
-    source: int
-    dist: tuple[int | None, ...]
-
-    def __getitem__(self, v: int) -> int | None:
-        return self.dist[v]
-
-
-def bfs_distances(g: Graph, source: int) -> DistanceTable:
-    """Breadth-first distances from ``source`` to every vertex."""
-    if not 0 <= source < g.vertex_count:
-        raise GraphError(f"source {source} is not a vertex")
+    Breadth-first, one level at a time: a vertex first reached at level d
+    accumulates the path counts of all its level d-1 neighbours.  This is
+    the package's one breadth-first search; every distance and geodesic
+    count is read off its rows.
+    """
+    adjacency = g.adjacency
     dist: list[int | None] = [None] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return DistanceTable(source, tuple(dist))
+    sigma = [0] * g.vertex_count
+    dist[s] = 0
+    sigma[s] = 1
+    frontier = [s]
+    level = 0
+    while frontier and level < depth:
+        level += 1
+        reached = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adjacency[v]:
+                dw = dist[w]
+                if dw is None:
+                    dist[w] = level
+                    sigma[w] = sv
+                    reached.append(w)
+                elif dw == level:
+                    sigma[w] += sv
+        frontier = reached
+    return dist, sigma
 
 
 def is_connected(g: Graph) -> bool:
@@ -164,19 +190,4 @@ def is_connected(g: Graph) -> bool:
     """
     if g.vertex_count <= 1:
         return True
-    table = bfs_distances(g, 0)
-    return all(d is not None for d in table.dist)
-
-
-def diameter(g: Graph) -> int:
-    """Largest distance between any two vertices; error if disconnected."""
-    if g.vertex_count == 0:
-        raise GraphError("diameter of the empty graph is undefined")
-    best = 0
-    for s in g.vertices():
-        table = bfs_distances(g, s)
-        for v, d in enumerate(table.dist):
-            if d is None:
-                raise GraphError(f"graph is disconnected: no path between {s} and {v}")
-            best = max(best, d)
-    return best
+    return None not in _bfs_counts(g, 0, g.vertex_count)[0]

@@ -24,8 +24,8 @@ from .embedding import (
     evaluate_spec,
     format_spec_line,
 )
-from .geodesics import GeodesicProfile, GeodeticClass, classify_k, count_geodesics
-from .graphs import Graph, GraphError, is_connected
+from .geodesics import GeodeticClass, count_geodesics
+from .graphs import Graph, GraphError, _bfs_counts, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +135,38 @@ class PairViolation:
 
 @dataclass(frozen=True)
 class PairPropertyReport:
+    """The on-cycle pair check and ``oracle_k``, the largest geodesic count
+    over all pairs of the built graph, read off the same BFS pass."""
+
     holds: bool
     violations: tuple[PairViolation, ...]
+    oracle_k: int
 
 
-def theorem2_pair_property(h: EmbeddedGraph, profile: GeodesicProfile) -> PairPropertyReport:
+def theorem2_pair_property(h: EmbeddedGraph) -> PairPropertyReport:
     """Check the pair behaviour the two cycle conditions are meant to buy:
     every opposite pair of the base cycle has a unique geodesic shorter
-    than L, and every other pair on the cycle has a unique geodesic."""
+    than L, and every other pair on the cycle has a unique geodesic.
+
+    This is the sweep's oracle: one BFS per vertex of ``h.graph`` yields
+    both the violations, from the rows of the 2L cycle vertices, and the
+    largest geodesic count over all pairs.
+    """
+    g = h.graph
+    n = g.vertex_count
     big_l = h.spec.L
     m = 2 * big_l
+    oracle_k = 1
     violations = []
-    for u in range(m):
+    for u in range(n):
+        dist, sigma = _bfs_counts(g, u, n)
+        oracle_k = max(oracle_k, max(sigma))
         for v in range(u + 1, m):
             opposite = (v - u) == big_l
-            d = profile.distance(u, v)
-            k = profile.geodesic_count(u, v)
-            if k > 1 or (opposite and d >= big_l):
-                violations.append(PairViolation(u, v, d, k, opposite))
-    return PairPropertyReport(not violations, tuple(violations))
+            d, k = dist[v], sigma[v]
+            if k > 1 or (opposite and d >= big_l):  # type: ignore[operator]
+                violations.append(PairViolation(u, v, d, k, opposite))  # type: ignore[arg-type]
+    return PairPropertyReport(not violations, tuple(violations), oracle_k)
 
 
 @dataclass(frozen=True)
@@ -179,12 +192,10 @@ def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
     """Build every enumerated spec, run the oracle, and compare."""
     for report in enumerate_specs(bounds):
         spec = report.spec
-        h = build(spec)
-        profile = count_geodesics(h.graph)
-        oracle = classify_k(profile)
-        pairs = theorem2_pair_property(h, profile)
+        pairs = theorem2_pair_property(build(spec))
+        oracle = GeodeticClass(pairs.oracle_k)
         if report.all_conditions_hold:
-            bound_ok = profile.k_value == 1 if spec.n == 2 else profile.k_value <= 2
+            bound_ok = oracle.k == 1 if spec.n == 2 else oracle.k <= 2
             consistent = pairs.holds and bound_ok
         elif report.embeddedness is not None and report.embeddedness.ok:
             # An embedded chord system failing a cycle condition must break
@@ -368,41 +379,52 @@ def find_chord_system(
     return ChordSystemSearch(None, not capped, tried)
 
 
-def _cycle_length_bound(g: Graph, limits: SearchLimits) -> int:
-    """The length bound the minimal-even-cycle scan of ``corollary4_check``
-    uses; below the vertex count it may miss every even cycle."""
-    cap = limits.max_cycle_length if limits.max_cycle_length is not None else g.vertex_count
-    return max(cap, 4)
-
-
 @dataclass(frozen=True)
 class Corollary4Verdict:
     """Outcome for one minimal even cycle.  ``certified_nongeodetic`` is set
-    only when an exhausted search found nothing; ``oracle_k`` cross-checks
-    that certification never contradicts the shortest-path counts."""
+    only when an exhausted search found nothing."""
 
     cycle: CycleView
     match: ChordSystemMatch | None
     search_exhausted: bool
     certified_nongeodetic: bool
-    oracle_k: int
 
 
-def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> list[Corollary4Verdict]:
+@dataclass(frozen=True)
+class Corollary4Report:
+    """The verdicts on every minimal even cycle and the scope of the scan.
+
+    ``oracle_k`` cross-checks that certification never contradicts the
+    shortest-path counts; it is None when no even cycle was found.  The
+    cycle scan covered lengths up to ``scanned_max_length``; it is
+    ``exhaustive`` when that reaches the vertex count, and only then does
+    an empty ``verdicts`` mean the graph has no even cycle.
+    """
+
+    verdicts: tuple[Corollary4Verdict, ...]
+    oracle_k: int | None
+    scanned_max_length: int
+    exhaustive: bool
+
+
+def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corollary4Report:
     """Run the chord-system search on every minimal even cycle of ``g``.
 
     A graph with no even cycle yields no verdicts.  Any certified verdict
-    means the graph is not geodetic.
+    means the graph is not geodetic.  ``limits.max_cycle_length`` caps the
+    cycle scan; below the vertex count it may miss every even cycle.
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
-    length, cycles = minimal_even_cycles(g, _cycle_length_bound(g, limits))
+    cap = limits.max_cycle_length if limits.max_cycle_length is not None else g.vertex_count
+    scanned = max(cap, 4)
+    exhaustive = scanned >= g.vertex_count
+    length, cycles = minimal_even_cycles(g, scanned)
     if length is None:
-        return []
-    oracle_k = count_geodesics(g).k_value
+        return Corollary4Report((), None, scanned, exhaustive)
     verdicts = []
     for c in cycles:
         result = find_chord_system(g, c, limits)
         certified = result.system is None and result.exhausted
-        verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified, oracle_k))
-    return verdicts
+        verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified))
+    return Corollary4Report(tuple(verdicts), count_geodesics(g).k_value, scanned, exhaustive)

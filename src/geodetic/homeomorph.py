@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bfs_distances, is_connected
+from .graphs import Graph, GraphError, _bfs_counts, is_connected
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def theorem1_check(g: Graph) -> Theorem1Report:
         return Theorem1Report(False, None, None, None, None)
     dec = decompose_segments(g)
     seg_len = {frozenset((s[0], s[-1])): len(s) - 1 for s in dec.segments}
-    dist = {v: bfs_distances(g, v).dist for v in dec.nodes}
+    dist = {v: _bfs_counts(g, v, g.vertex_count)[0] for v in dec.nodes}
     cond1 = all(len(s) - 1 == dist[s[0]][s[-1]] for s in dec.segments)
 
     def span(x: int, y: int) -> int:

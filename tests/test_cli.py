@@ -336,6 +336,18 @@ class TestErrors:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "lemma1", "k4-check", "cor4"])
+    def test_huge_vertex_id_is_refused_before_allocating(self, tmp_path, capsys, command):
+        # One edge line naming vertex 999999999 would otherwise allocate
+        # a billion adjacency sets.
+        path = tmp_path / "huge.edges"
+        path.write_text("0 999999999\n")
+        rc = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: vertex id 999999999 implies 1000000000 vertices")
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

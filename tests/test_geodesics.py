@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from geodetic import (
     GeodeticClass,
     GraphError,
-    classify_k,
     complete_graph,
     count_geodesics,
     cycle_graph,
@@ -16,7 +17,8 @@ from geodetic import (
     is_connected,
     petersen_graph,
 )
-from oracles import brute_shortest_paths
+from conftest import engine_rows
+from oracles import brute_k, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, min_size=1, max_size=18)
@@ -24,28 +26,30 @@ edge_lists = st.lists(edge_pairs, min_size=1, max_size=18)
 
 class TestCountGeodesics:
     def test_cycle4_counts(self):
+        _, count = engine_rows(cycle_graph(4))
+        assert count[0][2] == 2
+        assert count[1][3] == 2
+        assert count[0][1] == 1
         p = count_geodesics(cycle_graph(4))
-        assert p.geodesic_count(0, 2) == 2
-        assert p.geodesic_count(1, 3) == 2
-        assert p.geodesic_count(0, 1) == 1
         assert p.k_value == 2
         assert p.witness_pair == (0, 2)
+        assert p.witness_distance == 2
 
     def test_complete4_unique(self):
         p = count_geodesics(complete_graph(4))
         assert p.k_value == 1
-        assert all(
-            p.geodesic_count(u, v) == 1 for u in range(4) for v in range(4) if u != v
-        )
+        assert (p.witness_pair, p.witness_distance) == ((0, 0), 0)
+        _, count = engine_rows(complete_graph(4))
+        assert all(count[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
     def test_petersen_unique(self, petersen):
         assert count_geodesics(petersen).k_value == 1
 
     def test_diagonal(self):
-        p = count_geodesics(cycle_graph(5))
+        dist, count = engine_rows(cycle_graph(5))
         for v in range(5):
-            assert p.distance(v, v) == 0
-            assert p.geodesic_count(v, v) == 1
+            assert dist[v][v] == 0
+            assert count[v][v] == 1
 
     def test_disconnected_rejected(self):
         g = from_edge_list([(0, 1), (2, 3)])
@@ -56,17 +60,30 @@ class TestCountGeodesics:
         with pytest.raises(GraphError, match="empty"):
             count_geodesics(from_edge_list([]))
 
+    def test_memory_stays_linear(self):
+        # The summary keeps one BFS row at a time; an n x n table of the
+        # 600-cycle would take several megabytes.
+        g = cycle_graph(600)
+        tracemalloc.start()
+        try:
+            p = count_geodesics(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (p.k_value, p.witness_pair, p.witness_distance) == (2, (0, 300), 300)
+
     @settings(max_examples=60)
     @given(edge_lists)
     def test_symmetry_on_random_graphs(self, edges):
         g = from_edge_list(edges)
         if not is_connected(g):
             return
-        p = count_geodesics(g)
+        dist, count = engine_rows(g)
         for u in g.vertices():
             for v in g.vertices():
-                assert p.distance(u, v) == p.distance(v, u)
-                assert p.geodesic_count(u, v) == p.geodesic_count(v, u)
+                assert dist[u][v] == dist[v][u]
+                assert count[u][v] == count[v][u]
 
     @settings(max_examples=40)
     @given(edge_lists)
@@ -74,12 +91,15 @@ class TestCountGeodesics:
         g = from_edge_list(edges)
         if not is_connected(g):
             return
-        p = count_geodesics(g)
+        dist, count = engine_rows(g)
         for u in g.vertices():
             for v in range(u, g.vertex_count):
                 d, paths = brute_shortest_paths(g, u, v)
-                assert p.distance(u, v) == d
-                assert p.geodesic_count(u, v) == len(paths)
+                assert dist[u][v] == d
+                assert count[u][v] == len(paths)
+        p = count_geodesics(g)
+        assert (p.k_value, p.witness_pair) == brute_k(g)
+        assert p.witness_distance == dist[p.witness_pair[0]][p.witness_pair[1]]
 
 
 class TestClassifyK:
@@ -90,13 +110,7 @@ class TestClassifyK:
         assert str(GeodeticClass(5)) == "KGEODETIC (K=5)"
 
     def test_cycle6_is_bigeodetic(self):
-        assert classify_k(count_geodesics(cycle_graph(6))) == GeodeticClass(2)
-
-    def test_invalid_profile_rejected(self):
-        p = count_geodesics(cycle_graph(4))
-        broken = type(p)(p.dist, p.count, 0, (0, 0))
-        with pytest.raises(GraphError):
-            classify_k(broken)
+        assert GeodeticClass(count_geodesics(cycle_graph(6)).k_value) == GeodeticClass(2)
 
 
 class TestEnumerateGeodesics:
@@ -142,14 +156,14 @@ class TestEnumerateGeodesics:
         assert not r.truncated
 
     def test_counts_match_profile_on_petersen(self, petersen):
-        p = count_geodesics(petersen)
+        dist, count = engine_rows(petersen)
         for u in petersen.vertices():
             for v in petersen.vertices():
                 r = enumerate_geodesics(petersen, u, v)
-                assert len(r.paths) == p.geodesic_count(u, v)
+                assert len(r.paths) == count[u][v]
                 assert not r.truncated
                 for path in r.paths:
-                    assert len(path) - 1 == p.distance(u, v)
+                    assert len(path) - 1 == dist[u][v]
 
     @settings(max_examples=40)
     @given(edge_lists)
@@ -157,18 +171,18 @@ class TestEnumerateGeodesics:
         g = from_edge_list(edges)
         if not is_connected(g) or g.vertex_count < 2:
             return
-        p = count_geodesics(g)
+        dist, count = engine_rows(g)
         u, v = 0, g.vertex_count - 1
         r = enumerate_geodesics(g, u, v, cap=200)
         if not r.truncated:
-            assert len(r.paths) == p.geodesic_count(u, v)
+            assert len(r.paths) == count[u][v]
         for path in r.paths:
             assert path[0] == u and path[-1] == v
             assert len(set(path)) == len(path)
-            assert len(path) - 1 == p.distance(u, v)
+            assert len(path) - 1 == dist[u][v]
             for a, b in zip(path, path[1:]):
                 assert g.has_edge(a, b)
-                assert p.distance(u, b) == p.distance(u, a) + 1
+                assert dist[u][b] == dist[u][a] + 1
 
     @settings(max_examples=40)
     @given(edge_lists, st.integers(1, 4))

@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 
 from geodetic import (
     GraphError,
-    bfs_distances,
     complete_graph,
     cycle_graph,
-    diameter,
     format_edge_list,
     from_edge_list,
     is_connected,
     parse_edge_list,
-    path_graph,
     petersen_graph,
 )
+from geodetic.graphs import _bfs_counts, load_edge_list
 
 edge_pairs = st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, max_size=26)
@@ -82,6 +80,27 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError, match="line 2: negative"):
             parse_edge_list("0 1\n-1 2\n")
 
+    def test_file_with_vertex_id_beyond_the_edges_rejected(self, tmp_path):
+        # One edge touches two vertices, so id 999999999 leaves almost all
+        # of them isolated; the check fires before any allocation.
+        path = tmp_path / "huge.edges"
+        path.write_text("0 999999999\n")
+        with pytest.raises(GraphError, match="vertex id 999999999 implies 1000000000 vertices"):
+            load_edge_list(path)
+        path.write_text("0 2\n")
+        with pytest.raises(GraphError, match="some vertex lies on no edge"):
+            load_edge_list(path)
+
+    def test_file_bound_admits_every_vertex_on_an_edge(self, tmp_path):
+        # Two disjoint edges reach the bound: 4 vertices from 2 lines.
+        path = tmp_path / "matching.edges"
+        path.write_text("0 1\n2 3\n")
+        assert load_edge_list(path).vertex_count == 4
+        path.write_text("# nothing\n")
+        assert load_edge_list(path).vertex_count == 0
+        # Parsing text keeps isolated vertices, so any graph round-trips.
+        assert parse_edge_list("0 2\n").vertex_count == 3
+
     def test_header_lines_become_comments(self):
         text = format_edge_list(cycle_graph(4), header="four cycle\nsecond line")
         assert text.startswith("# four cycle\n# second line\n")
@@ -97,36 +116,40 @@ class TestEdgeListFormat:
         assert parse_edge_list(format_edge_list(g)).adjacency == g.adjacency
 
 
+def bfs_dist(g, s):
+    return _bfs_counts(g, s, g.vertex_count)[0]
+
+
 class TestBfsDistances:
     def test_cycle6(self):
-        table = bfs_distances(cycle_graph(6), 0)
-        assert table[3] == 3 and table[1] == 1 and table[5] == 1
-        assert table[0] == 0
+        dist = bfs_dist(cycle_graph(6), 0)
+        assert dist[3] == 3 and dist[1] == 1 and dist[5] == 1
+        assert dist[0] == 0
 
     def test_complete4(self):
-        table = bfs_distances(complete_graph(4), 2)
-        assert sorted(table.dist) == [0, 1, 1, 1]
+        assert sorted(bfs_dist(complete_graph(4), 2)) == [0, 1, 1, 1]
 
     def test_petersen_levels(self):
         g = petersen_graph()
         for s in g.vertices():
-            dist = bfs_distances(g, s).dist
-            assert sorted(dist) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
-
-    def test_source_out_of_range(self):
-        with pytest.raises(GraphError, match="source 9"):
-            bfs_distances(cycle_graph(4), 9)
+            assert sorted(bfs_dist(g, s)) == [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]
 
     def test_unreachable_is_none(self):
         g = from_edge_list([(0, 1)], vertex_count=3)
-        assert bfs_distances(g, 0).dist == (0, 1, None)
+        assert _bfs_counts(g, 0, 3) == ([0, 1, None], [1, 1, 0])
+
+    def test_depth_bound_stops_the_search(self):
+        dist, count = _bfs_counts(cycle_graph(8), 0, 2)
+        assert dist == [0, 1, 2, None, None, None, 2, 1]
+        assert count == [1, 1, 1, 0, 0, 0, 1, 1]
+        assert _bfs_counts(cycle_graph(8), 0, 4)[1][4] == 2
 
     @given(edge_lists)
     def test_edge_lipschitz_and_symmetry(self, edges):
         g = from_edge_list(edges)
         if g.vertex_count == 0:
             return
-        tables = [bfs_distances(g, s).dist for s in g.vertices()]
+        tables = [bfs_dist(g, s) for s in g.vertices()]
         for u, v in g.edges():
             assert tables[u][v] == 1
         for u in g.vertices():
@@ -150,28 +173,13 @@ class TestConnectivityAndDiameter:
         assert is_connected(from_edge_list([], vertex_count=1))
         assert is_connected(from_edge_list([]))
 
-    def test_diameter_even_cycle_is_half_length(self):
-        for big_l in (2, 3, 4, 5):
-            assert diameter(cycle_graph(2 * big_l)) == big_l
-
-    def test_diameter_complete(self):
-        assert diameter(complete_graph(5)) == 1
-
-    def test_diameter_path(self):
-        assert diameter(path_graph(5)) == 4
-
-    def test_diameter_disconnected_rejected(self):
-        g = from_edge_list([(0, 1), (2, 3)])
-        with pytest.raises(GraphError, match="disconnected"):
-            diameter(g)
-
     @settings(max_examples=40)
     @given(edge_lists)
     def test_triangle_inequality(self, edges):
         g = from_edge_list(edges)
         if g.vertex_count == 0 or not is_connected(g):
             return
-        d = [bfs_distances(g, s).dist for s in g.vertices()]
+        d = [bfs_dist(g, s) for s in g.vertices()]
         for u in g.vertices():
             for v in g.vertices():
                 for w in g.vertices():

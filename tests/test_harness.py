@@ -133,19 +133,20 @@ class TestEnumerateSpecs:
 
 class TestPairProperty:
     def test_h1_holds(self, h1):
-        report = theorem2_pair_property(h1, count_geodesics(h1.graph))
+        report = theorem2_pair_property(h1)
         assert report.holds and report.violations == ()
+        assert report.oracle_k == 1
 
     def test_h2_holds_on_cycle(self, h2):
         # H2 is bigeodetic, but its doubled geodesics join internal chord
         # vertices; every base-cycle pair stays unique.
-        profile = count_geodesics(h2.graph)
-        assert profile.k_value == 2
-        assert theorem2_pair_property(h2, profile).holds
+        report = theorem2_pair_property(h2)
+        assert report.oracle_k == count_geodesics(h2.graph).k_value == 2
+        assert report.holds
 
     def test_boundary_spec_violates(self):
         h = build(BOUNDARY_SPEC)
-        report = theorem2_pair_property(h, count_geodesics(h.graph))
+        report = theorem2_pair_property(h)
         assert not report.holds
         v = report.violations[0]
         assert (v.u, v.v, v.distance, v.count, v.opposite) == (2, 5, 3, 2, True)
@@ -197,27 +198,29 @@ class TestFindChordSystem:
 
 class TestCorollary4Check:
     def test_chorded_c8_is_certified(self, c8_chord):
-        verdicts = corollary4_check(c8_chord)
-        assert len(verdicts) == 1
-        v = verdicts[0]
+        report = corollary4_check(c8_chord)
+        assert len(report.verdicts) == 1
+        v = report.verdicts[0]
         assert v.cycle.length == 8
         assert v.match is None and v.search_exhausted
         assert v.certified_nongeodetic
-        assert v.oracle_k == 2
+        assert report.oracle_k == 2
+        assert (report.scanned_max_length, report.exhaustive) == (c8_chord.vertex_count, True)
 
     def test_bare_even_cycle_is_certified(self):
-        verdicts = corollary4_check(cycle_graph(6))
+        verdicts = corollary4_check(cycle_graph(6)).verdicts
         assert len(verdicts) == 1 and verdicts[0].certified_nongeodetic
 
     def test_petersen_is_never_certified(self, petersen):
-        verdicts = corollary4_check(petersen)
+        report = corollary4_check(petersen)
+        verdicts = report.verdicts
         assert len(verdicts) == 10
         assert all(v.match is not None for v in verdicts)
         assert not any(v.certified_nongeodetic for v in verdicts)
-        assert all(v.oracle_k == 1 for v in verdicts)
+        assert report.oracle_k == 1
 
     def test_h1_is_never_certified(self, h1):
-        verdicts = corollary4_check(h1.graph)
+        verdicts = corollary4_check(h1.graph).verdicts
         assert len(verdicts) == 3
         assert not any(v.certified_nongeodetic for v in verdicts)
 
@@ -225,31 +228,35 @@ class TestCorollary4Check:
         # The base 6-cycle recovers its own chord system; three skew
         # minimal even cycles admit none, and each certification is sound
         # because the graph really is bigeodetic.
-        verdicts = corollary4_check(h2.graph)
-        assert len(verdicts) == 4
-        by_cycle = {v.cycle.vertices: v for v in verdicts}
+        report = corollary4_check(h2.graph)
+        assert len(report.verdicts) == 4
+        by_cycle = {v.cycle.vertices: v for v in report.verdicts}
         base = by_cycle.pop((0, 1, 2, 3, 4, 5))
         assert base.match is not None and not base.certified_nongeodetic
         assert all(v.certified_nongeodetic for v in by_cycle.values())
-        assert all(v.oracle_k == 2 for v in verdicts)
+        assert report.oracle_k == 2
 
     def test_no_even_cycle_means_no_verdicts(self):
-        assert corollary4_check(cycle_graph(7)) == []
-        assert corollary4_check(path_graph(4)) == []
+        for g in (cycle_graph(7), path_graph(4)):
+            report = corollary4_check(g)
+            assert report.verdicts == () and report.oracle_k is None
+            assert report.exhaustive and report.scanned_max_length == g.vertex_count
 
     def test_capped_search_never_certifies(self, petersen):
-        verdicts = corollary4_check(petersen, SearchLimits(max_combinations=2))
+        verdicts = corollary4_check(petersen, SearchLimits(max_combinations=2)).verdicts
         assert verdicts
         for v in verdicts:
             assert not v.search_exhausted
             assert not v.certified_nongeodetic
 
     def test_cycle_length_cap_limits_the_scan(self):
-        assert corollary4_check(cycle_graph(8), SearchLimits(max_cycle_length=6)) == []
+        report = corollary4_check(cycle_graph(8), SearchLimits(max_cycle_length=6))
+        assert report.verdicts == () and report.oracle_k is None
+        assert (report.scanned_max_length, report.exhaustive) == (6, False)
 
     def test_long_bare_cycle_is_certified_at_once(self):
         # No candidate chord exists, so no endpoint subset is tried.
-        verdicts = corollary4_check(cycle_graph(30))
+        verdicts = corollary4_check(cycle_graph(30)).verdicts
         assert len(verdicts) == 1
         assert verdicts[0].search_exhausted and verdicts[0].certified_nongeodetic
 
@@ -315,6 +322,30 @@ class TestSweepValidate:
         assert sum(evaluated.values()) == 50  # condition 2's solutions in [1, L-1]^n
         assert max(evaluated.values()) == 1
         assert validations <= 50 + 23  # one per candidate, one per build
+
+    def test_oracle_is_one_bfs_per_vertex(self, monkeypatch):
+        from geodetic import graphs, harness
+
+        searches = 0
+        real_bfs = graphs._bfs_counts
+
+        def counting_bfs(g, s, depth):
+            nonlocal searches
+            searches += 1
+            return real_bfs(g, s, depth)
+
+        def forbidden(g):
+            raise AssertionError("the sweep must not call count_geodesics")
+
+        monkeypatch.setattr(harness, "_bfs_counts", counting_bfs)
+        monkeypatch.setattr(harness, "count_geodesics", forbidden)
+        findings = list(sweep_validate(SweepBounds(4, include_invalid=True)))
+        assert searches == sum(build(f.spec).graph.vertex_count for f in findings)
+
+    def test_oracle_matches_count_geodesics(self):
+        for f in sweep_validate(SweepBounds(4, include_invalid=True)):
+            g = build(f.spec).graph
+            assert f.oracle.k == f.pair_property.oracle_k == count_geodesics(g).k_value
 
     def test_finding_record_shape(self):
         finding = next(iter(sweep_validate(SweepBounds(2))))

@@ -10,13 +10,12 @@ from geodetic import (
     cycle_graph,
     cycle_with_chord,
     decompose_segments,
-    four_segment_cycles,
     from_edge_list,
     is_homeomorphic_to_k4,
     subdivided_k4,
     theorem1_check,
-    three_segment_cycles,
 )
+from geodetic.homeomorph import four_segment_cycles, three_segment_cycles
 from oracles import brute_k
 
 

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import engine_rows
 from geodetic import CycleView, count_geodesics, from_edge_list, minimal_even_cycles
 
 nx = pytest.importorskip("networkx")
@@ -50,12 +51,17 @@ def test_minimal_even_cycles_match_networkx(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_count_geodesics_matches_networkx(seed):
     g, h = sparse_connected_graph(seed)
-    profile = count_geodesics(g)
+    dist, count = engine_rows(g)
     n = g.vertex_count
     for u in range(n):
         lengths = nx.single_source_shortest_path_length(h, u)
-        assert [profile.distance(u, v) for v in range(n)] == [lengths[v] for v in range(n)]
+        assert dist[u] == [lengths[v] for v in range(n)]
     for u in random.Random(seed).sample(range(n), 3):
         for v in range(n):
             expected = len(list(nx.all_shortest_paths(h, u, v)))
-            assert profile.geodesic_count(u, v) == expected
+            assert count[u][v] == expected
+    profile = count_geodesics(g)
+    k = max(max(row) for row in count)
+    assert profile.k_value == k
+    first = next((u, v) for u in range(n) for v in range(u + 1, n) if count[u][v] == k)
+    assert profile.witness_pair == (first if k > 1 else (0, 0))
