@@ -3,7 +3,10 @@ shortest-path multiplicity, the even-cycle witness scan, and the
 chord-system certification outcome.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
-is also pinned by the test suite.
+is also pinned by the test suite, and the whole output by
+``fixture_report.expected`` next to this script:
+
+    diff <(PYTHONPATH=src python scripts/fixture_report.py) scripts/fixture_report.expected
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .embedding import (
     build,
     evaluate_spec,
     format_spec_line,
-    parse_spec_file,
     parse_spec_line,
     validate_spec,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "make_report",
     "minimal_even_cycles",
     "parse_edge_list",
-    "parse_spec_file",
     "parse_spec_line",
     "path_graph",
     "petersen_graph",

@@ -149,13 +149,11 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
     for problem in report.validation.problems:
         text.append(f"invalid: {problem}")
     if report.condition1 is not None:
-        pairs = ", ".join(
-            f"A{e.chord_index + 1}: {e.cycle_lengths[0]}/{e.cycle_lengths[1]}"
-            for e in report.condition1.entries
-        )
+        lengths = report.condition1.cycle_lengths
+        pairs = ", ".join(f"A{i + 1}: {cw}/{ccw}" for i, (cw, ccw) in enumerate(lengths))
         payload["condition1"] = {
             "ok": report.condition1.ok,
-            "chord_arc_cycle_lengths": [list(e.cycle_lengths) for e in report.condition1.entries],
+            "chord_arc_cycle_lengths": [list(pair) for pair in lengths],
         }
         text.append(
             f"condition 1 (chord+arc cycles all odd): "
@@ -191,10 +189,11 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
         for v in report.embeddedness.violations:
             names = "+".join(f"A{i + 1}" for i in v.chord_indices)
             text.append(f"  even cycle of length {v.length} from {v.kind} ({names})")
-    if report.predicted_class is not None:
-        bound = "K=1" if spec.n == 2 else "K<=2"
-        payload["predicted"] = report.predicted_class.label
-        text.append(f"predicted class: {report.predicted_class.label} ({bound})")
+    predicted = report.predicted_class
+    if predicted is not None:
+        bound = "K=1" if predicted.k == 1 else f"K<={predicted.k}"
+        payload["predicted"] = predicted.label
+        text.append(f"predicted class: {predicted.label} ({bound})")
     else:
         text.append("no class prediction (checks failed)")
     _emit(args, "check-embedded", payload, text)
@@ -382,10 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, reports.ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except OSError as exc:
+    except (GraphError, reports.ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

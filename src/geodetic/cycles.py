@@ -99,7 +99,7 @@ def minimal_even_cycles(g: Graph, max_len: int) -> tuple[int | None, list[CycleV
     """
     if max_len < 4:
         raise GraphError("max_len must be >= 4")
-    adj_sorted = [sorted(nbrs) for nbrs in g.adjacency]
+    adjacency = g.adjacency
     on_path = [False] * g.vertex_count
     bound = 4
     while True:
@@ -107,7 +107,7 @@ def minimal_even_cycles(g: Graph, max_len: int) -> tuple[int | None, list[CycleV
         found: list[tuple[int, ...]] = []
         for root in g.vertices():
             path = [root]
-            stack = [iter(adj_sorted[root])]
+            stack = [iter(adjacency[root])]
             while stack:
                 for w in stack[-1]:
                     if w == root:
@@ -119,7 +119,7 @@ def minimal_even_cycles(g: Graph, max_len: int) -> tuple[int | None, list[CycleV
                     elif w > root and not on_path[w] and len(path) < limit:
                         path.append(w)
                         on_path[w] = True
-                        stack.append(iter(adj_sorted[w]))
+                        stack.append(iter(adjacency[w]))
                         break
                 else:
                     stack.pop()
@@ -129,6 +129,17 @@ def minimal_even_cycles(g: Graph, max_len: int) -> tuple[int | None, list[CycleV
         if bound >= max_len or bound >= g.vertex_count:
             return None, []
         bound *= 2
+
+
+def _scan_scope(n: int, max_len: int | None) -> tuple[int, bool]:
+    """The cycle lengths a scan capped at ``max_len`` covers on ``n``
+    vertices: the longest, ``min(max_len, n)``, and whether that is every
+    length a cycle can have.  ``max_len`` of None means no cap."""
+    if max_len is None:
+        return n, True
+    if max_len < 4:
+        raise GraphError("max_len must be >= 4")
+    return min(max_len, n), max_len >= n
 
 
 def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
@@ -147,14 +158,7 @@ def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
     n = g.vertex_count
     if not is_connected(g):
         raise GraphError("witness scan requires a connected graph")
-    if max_len is None:
-        cap = n
-    else:
-        if max_len < 4:
-            raise GraphError("max_len must be >= 4")
-        cap = max_len
-    scanned = min(cap, n)
-    exhaustive = cap >= n
+    scanned, exhaustive = _scan_scope(n, max_len)
     best: tuple[int, int, int] | None = None
     depth = scanned // 2
     for u in range(n):

@@ -61,20 +61,14 @@ class EmbeddedSpec:
 
 @dataclass(frozen=True)
 class SpecValidation:
-    """All violations found in a spec, not just the first."""
+    """All violations found in a spec, not just the first.
 
-    shape_ok: bool
-    positivity_ok: bool
-    arc_sum_ok: bool
-    n_range_ok: bool
-    chord_validity: tuple[bool, ...]
+    ``structure_ok`` is True when the tuple shapes and arc arithmetic are
+    coherent, so the condition checks are well defined (chords may still be
+    invalid)."""
+
+    structure_ok: bool
     problems: tuple[str, ...]
-
-    @property
-    def structure_ok(self) -> bool:
-        """True when the tuple shapes and arc arithmetic are coherent, so
-        the condition checks are well defined (chords may still be invalid)."""
-        return self.shape_ok and self.positivity_ok and self.arc_sum_ok and self.n_range_ok
 
     @property
     def ok(self) -> bool:
@@ -84,37 +78,29 @@ class SpecValidation:
 def validate_spec(spec: EmbeddedSpec) -> SpecValidation:
     """Check shape, positivity, arc sum, n range, and strict chord validity."""
     problems: list[str] = []
-    shape_ok = True
     if len(spec.arcs) != 2 * spec.n:
         problems.append(f"expected {2 * spec.n} arcs, got {len(spec.arcs)}")
-        shape_ok = False
     if len(spec.chords) != spec.n:
         problems.append(f"expected {spec.n} chords, got {len(spec.chords)}")
-        shape_ok = False
+    shape_ok = not problems
     positivity_ok = all(a >= 1 for a in spec.arcs) and all(c >= 1 for c in spec.chords)
     if not positivity_ok:
         problems.append("arc and chord lengths must be positive")
-    n_range_ok = spec.L >= 2 and 2 <= spec.n <= spec.L
-    if not n_range_ok:
+    if not (spec.L >= 2 and 2 <= spec.n <= spec.L):
         problems.append(f"need L >= 2 and 2 <= n <= L, got L={spec.L} n={spec.n}")
-    arc_sum_ok = shape_ok and positivity_ok and sum(spec.arcs) == 2 * spec.L
-    if shape_ok and positivity_ok and not arc_sum_ok:
+    if shape_ok and positivity_ok and sum(spec.arcs) != 2 * spec.L:
         problems.append(f"arcs sum to {sum(spec.arcs)}, expected 2L = {2 * spec.L}")
-    chord_validity: list[bool] = []
-    if shape_ok and positivity_ok and arc_sum_ok and n_range_ok:
+    structure_ok = not problems
+    if structure_ok:
         for i, c in enumerate(spec.chords):
             cw = spec.clockwise_span(i)
             ccw = 2 * spec.L - cw
-            good = c < cw and c < ccw
-            chord_validity.append(good)
-            if not good:
+            if not (c < cw and c < ccw):
                 problems.append(
                     f"chord A{i + 1} has length {c}, not strictly shorter than "
                     f"both arcs ({cw} and {ccw}) between its endpoints"
                 )
-    return SpecValidation(
-        shape_ok, positivity_ok, arc_sum_ok, n_range_ok, tuple(chord_validity), tuple(problems)
-    )
+    return SpecValidation(structure_ok, tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -166,22 +152,11 @@ def build(spec: EmbeddedSpec) -> EmbeddedGraph:
 
 
 @dataclass(frozen=True)
-class ChordArcParity:
-    """The two chord-plus-arc cycle lengths for one chord (0-based index)."""
-
-    chord_index: int
-    cycle_lengths: tuple[int, int]
-
-    @property
-    def all_odd(self) -> bool:
-        return all(ln % 2 == 1 for ln in self.cycle_lengths)
-
-
-@dataclass(frozen=True)
 class Condition1Report:
-    """Every chord-plus-arc cycle must have odd length (both arcs per chord)."""
+    """Every chord-plus-arc cycle must have odd length.  ``cycle_lengths[i]``
+    holds chord i's two: with its clockwise arc, then its counterclockwise."""
 
-    entries: tuple[ChordArcParity, ...]
+    cycle_lengths: tuple[tuple[int, int], ...]
     ok: bool
 
 
@@ -247,12 +222,10 @@ def evaluate_spec(spec: EmbeddedSpec) -> ConditionReport:
     if not validation.structure_ok:
         return ConditionReport(spec, validation, None, None, None, None)
     n, target, arcs, chords = spec.n, spec.cycle_length, spec.arcs, spec.chords
+    spans = [spec.clockwise_span(i) for i in range(n)]
+    chord_arc = tuple((c + cw, c + (target - cw)) for c, cw in zip(chords, spans))
     violations: list[ForbiddenCycle] = []
-    chord_arc: list[ChordArcParity] = []
-    for i, c in enumerate(chords):
-        cw = spec.clockwise_span(i)
-        lengths = (c + cw, c + (target - cw))
-        chord_arc.append(ChordArcParity(i, lengths))
+    for i, lengths in enumerate(chord_arc):
         for side, ln in zip(("cw", "ccw"), lengths):
             if ln % 2 == 0 and ln < target:
                 violations.append(ForbiddenCycle("chord_arc", (i,), ln, side))
@@ -262,7 +235,7 @@ def evaluate_spec(spec: EmbeddedSpec) -> ConditionReport:
     for i, ln in enumerate(adjacent):
         if ln % 2 == 0 and ln < target:
             violations.append(ForbiddenCycle("adjacent_chords", (i, (i + 1) % n), ln))
-    c1 = Condition1Report(tuple(chord_arc), all(e.all_odd for e in chord_arc))
+    c1 = Condition1Report(chord_arc, all(ln % 2 for pair in chord_arc for ln in pair))
     c2 = Condition2Report(adjacent, all(ln == target for ln in adjacent))
     emb = EmbeddednessReport(not violations, tuple(violations))
     predicted = None
@@ -274,32 +247,31 @@ def evaluate_spec(spec: EmbeddedSpec) -> ConditionReport:
 _SPEC_KEYS = ("L", "n", "arcs", "chords")
 
 
-def parse_spec_line(line: str, *, lineno: int | None = None) -> EmbeddedSpec:
+def parse_spec_line(line: str) -> EmbeddedSpec:
     """Parse ``L=<int> n=<int> arcs=<csv ints> chords=<csv ints>``."""
-    where = f"line {lineno}: " if lineno is not None else ""
     fields: dict[str, str] = {}
     for token in line.split():
         m = re.fullmatch(r"([A-Za-z]+)=([-\d,]+)", token)
         if not m or m.group(1) not in _SPEC_KEYS:
-            raise GraphError(f"{where}unrecognised token {token!r} in spec line")
+            raise GraphError(f"unrecognised token {token!r} in spec line")
         key = m.group(1)
         if key in fields:
-            raise GraphError(f"{where}duplicate key {key!r} in spec line")
+            raise GraphError(f"duplicate key {key!r} in spec line")
         fields[key] = m.group(2)
     missing = [k for k in _SPEC_KEYS if k not in fields]
     if missing:
-        raise GraphError(f"{where}spec line is missing {', '.join(missing)}")
+        raise GraphError(f"spec line is missing {', '.join(missing)}")
 
     def ints(text: str, key: str) -> tuple[int, ...]:
         try:
             return tuple(int(part) for part in text.split(","))
         except ValueError:
-            raise GraphError(f"{where}non-integer value in {key}={text!r}") from None
+            raise GraphError(f"non-integer value in {key}={text!r}") from None
 
     def single(key: str) -> int:
         values = ints(fields[key], key)
         if len(values) != 1:
-            raise GraphError(f"{where}{key} must be a single integer, got {fields[key]!r}")
+            raise GraphError(f"{key} must be a single integer, got {fields[key]!r}")
         return values[0]
 
     return EmbeddedSpec(
@@ -311,14 +283,3 @@ def format_spec_line(spec: EmbeddedSpec) -> str:
     arcs = ",".join(str(a) for a in spec.arcs)
     chords = ",".join(str(c) for c in spec.chords)
     return f"L={spec.L} n={spec.n} arcs={arcs} chords={chords}"
-
-
-def parse_spec_file(text: str) -> list[EmbeddedSpec]:
-    """One spec per line; blank lines and ``#`` comments are ignored."""
-    specs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        specs.append(parse_spec_line(line, lineno=lineno))
-    return specs

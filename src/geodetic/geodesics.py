@@ -92,8 +92,8 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = 1000) -> GeodesicPa
     paths: list[tuple[int, ...]] = []
     truncated = False
     # Depth-first over the BFS levels with an explicit stack, so paths of any
-    # length fit; children are pushed in reverse sorted order, so they pop
-    # in sorted order and paths come out lexicographically.
+    # length fit; children are pushed in descending order, so they pop in
+    # ascending order and paths come out lexicographically.
     acc: list[int] = []
     stack = [(u, 0)]
     while stack:
@@ -109,7 +109,7 @@ def enumerate_geodesics(g: Graph, u: int, v: int, cap: int = 1000) -> GeodesicPa
         here = to_v[vertex]
         stack.extend(
             (w, level + 1)
-            for w in sorted(g.adjacency[vertex], reverse=True)
+            for w in reversed(g.adjacency[vertex])
             if to_v[w] == here - 1  # type: ignore[operator]
         )
     return GeodesicPaths(tuple(paths), truncated)

@@ -21,12 +21,13 @@ class GraphError(ValueError):
 class Graph:
     """A simple undirected graph, immutable after construction.
 
-    ``adjacency[v]`` is the neighbour set of vertex ``v``.  Use
-    :func:`from_edge_list` or :func:`parse_edge_list` rather than building
-    the adjacency tuple by hand.
+    ``adjacency[v]`` is the tuple of the neighbours of vertex ``v`` in
+    ascending order, so every walk over it visits neighbours in a fixed
+    order.  Use :func:`from_edge_list` or :func:`parse_edge_list` rather
+    than building the adjacency tuple by hand.
     """
 
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def vertex_count(self) -> int:
@@ -39,7 +40,7 @@ class Graph:
     def vertices(self) -> range:
         return range(len(self.adjacency))
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
     def degree(self, v: int) -> int:
@@ -50,12 +51,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
-        return [(u, v) for u in self.vertices() for v in sorted(self.adjacency[u]) if u < v]
+        return [(u, v) for u in self.vertices() for v in self.adjacency[u] if u < v]
 
     def validate(self) -> None:
         """Check the simple-undirected invariants; raise GraphError on failure."""
         n = self.vertex_count
         for u, nbrs in enumerate(self.adjacency):
+            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+                raise GraphError(f"neighbours of vertex {u} are not strictly ascending")
             for v in nbrs:
                 if not 0 <= v < n:
                     raise GraphError(f"vertex {u} lists out-of-range neighbour {v}")
@@ -90,7 +93,7 @@ def from_edge_list(edges: Iterable[tuple[int, int]], *, vertex_count: int | None
     for u, v in pairs:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(tuple(frozenset(s) for s in nbrs))
+    return Graph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def _edge_lines(text: str) -> list[tuple[int, int]]:

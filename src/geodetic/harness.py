@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterator
 
-from .cycles import CycleView, minimal_even_cycles, validate_cycle_in
+from .cycles import CycleView, _scan_scope, minimal_even_cycles, validate_cycle_in
 from .embedding import (
     ConditionReport,
     EmbeddedGraph,
@@ -48,14 +48,16 @@ class SweepBounds:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` positive
-    integers, in lexicographic order."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+    integers, in lexicographic order.
+
+    A composition is fixed by its ``parts - 1`` cut points in
+    ``1 .. total-1``, and cut points in lexicographic order give the parts
+    in lexicographic order."""
+    if total < 1:
         return
-    for head in range(1, total - parts + 2):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in combinations(range(1, total), parts - 1):
+        ends = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
 def _condition2_chords(big_l: int, n: int, arcs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -174,11 +176,11 @@ class SweepFinding:
     """One spec's structural checks versus the oracle.
 
     ``consistent`` means: when all conditions hold, the pair property holds
-    and the oracle K matches the predicted class (K=1 for n=2, K<=2
-    otherwise); when a cycle condition fails on an otherwise embedded
-    system, the pair property is violated by at least one pair.  Specs
-    whose chord layout already contains a short even cycle fall outside
-    both directions and are always marked consistent.
+    and the oracle K is at most the predicted class's K; when a cycle
+    condition fails on an otherwise embedded system, the pair property is
+    violated by at least one pair.  Specs whose chord layout already
+    contains a short even cycle fall outside both directions and are
+    always marked consistent.
     """
 
     spec: EmbeddedSpec
@@ -194,9 +196,9 @@ def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
         spec = report.spec
         pairs = theorem2_pair_property(build(spec))
         oracle = GeodeticClass(pairs.oracle_k)
-        if report.all_conditions_hold:
-            bound_ok = oracle.k == 1 if spec.n == 2 else oracle.k <= 2
-            consistent = pairs.holds and bound_ok
+        predicted = report.predicted_class
+        if predicted is not None:
+            consistent = pairs.holds and oracle.k <= predicted.k
         elif report.embeddedness is not None and report.embeddedness.ok:
             # An embedded chord system failing a cycle condition must break
             # the on-cycle pair property; that is the converse direction.
@@ -308,7 +310,7 @@ def _candidate_chords(
         stack: list[tuple[int, tuple[int, ...]]] = [(a, (a,))]
         while stack:
             v, path = stack.pop()
-            for w in sorted(g.adjacency[v]):
+            for w in g.adjacency[v]:
                 if w in path:
                     continue
                 if w in on_cycle:
@@ -396,9 +398,10 @@ class Corollary4Report:
 
     ``oracle_k`` cross-checks that certification never contradicts the
     shortest-path counts; it is None when no even cycle was found.  The
-    cycle scan covered lengths up to ``scanned_max_length``; it is
-    ``exhaustive`` when that reaches the vertex count, and only then does
-    an empty ``verdicts`` mean the graph has no even cycle.
+    cycle scan covered lengths up to ``scanned_max_length``, at most the
+    vertex count; it is ``exhaustive`` when that reaches the vertex count,
+    and only then does an empty ``verdicts`` mean the graph has no even
+    cycle.
     """
 
     verdicts: tuple[Corollary4Verdict, ...]
@@ -416,10 +419,8 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
-    cap = limits.max_cycle_length if limits.max_cycle_length is not None else g.vertex_count
-    scanned = max(cap, 4)
-    exhaustive = scanned >= g.vertex_count
-    length, cycles = minimal_even_cycles(g, scanned)
+    scanned, exhaustive = _scan_scope(g.vertex_count, limits.max_cycle_length)
+    length, cycles = minimal_even_cycles(g, max(scanned, 4))
     if length is None:
         return Corollary4Report((), None, scanned, exhaustive)
     verdicts = []

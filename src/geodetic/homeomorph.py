@@ -44,7 +44,7 @@ def decompose_segments(g: Graph) -> SegmentDecomposition:
     seen: set[tuple[int, ...]] = set()
     segments: list[tuple[int, ...]] = []
     for u in nodes:
-        for first in sorted(g.adjacency[u]):
+        for first in g.adjacency[u]:
             prev, cur = u, first
             seq = [u, first]
             while degs[cur] == 2:

@@ -6,6 +6,7 @@ import pytest
 
 from geodetic import (
     build,
+    complete_graph,
     cycle_graph,
     format_edge_list,
     load_report,
@@ -86,6 +87,27 @@ class TestLemma1:
         assert report["witness"] == [0, 1, 2, 3, 4, 5, 6, 7]
         assert report["witness_pair"] == [0, 4]
         assert report["exhaustive"] is True
+
+
+class TestScanScope:
+    @pytest.mark.parametrize(
+        "g, cap, scope",
+        [
+            (complete_graph(3), None, (3, True)),
+            (cycle_graph(10), None, (10, True)),
+            (cycle_graph(10), 100, (10, True)),
+            (cycle_graph(10), 6, (6, False)),
+        ],
+        ids=["K3", "C10", "C10-cap100", "C10-cap6"],
+    )
+    def test_lemma1_and_cor4_report_the_same_scope(self, tmp_path, capsys, g, cap, scope):
+        path = graph_file(tmp_path, g)
+        reported = []
+        for command, option in (("lemma1", "--max-len"), ("cor4", "--max-cycle-len")):
+            main([command, "--json", path] + ([option, str(cap)] if cap else []))
+            report = report_of(capsys)
+            reported.append((report["scanned_max_length"], report["exhaustive"]))
+        assert reported == [scope, scope]
 
 
 class TestBuildEmbedded:

@@ -15,7 +15,6 @@ from geodetic import (
     complete_graph,
     evaluate_spec,
     format_spec_line,
-    parse_spec_file,
     parse_spec_line,
     validate_spec,
 )
@@ -86,7 +85,6 @@ class TestValidateSpec:
         v = validate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (3, 1)))
         assert not v.ok
         assert v.structure_ok
-        assert v.chord_validity == (False, True)
         assert v.problems == (
             "chord A1 has length 3, not strictly shorter than "
             "both arcs (3 and 3) between its endpoints",
@@ -94,22 +92,22 @@ class TestValidateSpec:
 
     def test_arc_sum_mismatch(self):
         v = validate_spec(EmbeddedSpec(3, 2, (1, 1, 1, 1), (2, 1)))
-        assert not v.arc_sum_ok and not v.structure_ok
+        assert not v.structure_ok
         assert "arcs sum to 4, expected 2L = 6" in v.problems
 
     def test_n_out_of_range(self):
         v = validate_spec(EmbeddedSpec(2, 3, (1, 1, 1, 1, 0, 0), (1, 1, 1)))
-        assert not v.n_range_ok
+        assert not v.structure_ok
         assert any("2 <= n <= L" in p for p in v.problems)
 
     def test_nonpositive_length(self):
         v = validate_spec(EmbeddedSpec(3, 2, (0, 3, 2, 1), (2, 1)))
-        assert not v.positivity_ok
+        assert not v.structure_ok
         assert "arc and chord lengths must be positive" in v.problems
 
     def test_wrong_tuple_shapes(self):
         v = validate_spec(EmbeddedSpec(3, 2, (1, 2, 2), (2,)))
-        assert not v.shape_ok
+        assert not v.structure_ok
         assert "expected 4 arcs, got 3" in v.problems
         assert "expected 2 chords, got 1" in v.problems
 
@@ -154,18 +152,18 @@ class TestCondition1:
     def test_h1(self, h1):
         report = evaluate_spec(h1.spec).condition1
         assert report.ok
-        assert [e.cycle_lengths for e in report.entries] == [(5, 5), (5, 3)]
+        assert report.cycle_lengths == ((5, 5), (5, 3))
 
     def test_h2(self):
         report = evaluate_spec(H2_SPEC).condition1
         assert report.ok
-        assert all(e.cycle_lengths == (5, 5) for e in report.entries)
+        assert report.cycle_lengths == ((5, 5),) * 3
 
     def test_even_chord_arc_cycle_fails(self):
         report = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 2))).condition1
         assert not report.ok
-        assert report.entries[1].cycle_lengths == (6, 4)
-        assert not report.entries[1].all_odd
+        assert report.cycle_lengths[1] == (6, 4)
+        assert not all(ln % 2 for ln in report.cycle_lengths[1])
 
 
 class TestCondition2:
@@ -277,7 +275,7 @@ class TestEvaluateSpec:
             and all(ln == m for ln in adjacent)
             and not violations
         )
-        assert [e.cycle_lengths for e in report.condition1.entries] == chord_arc
+        assert list(report.condition1.cycle_lengths) == chord_arc
         assert list(report.condition2.lengths) == adjacent
         assert [
             (v.kind, v.chord_indices, v.length, v.arc_side)
@@ -322,22 +320,3 @@ class TestSpecLineFormat:
     def test_multi_value_scalar(self):
         with pytest.raises(GraphError, match="L must be a single integer"):
             parse_spec_line("L=3,4 n=2 arcs=1,2,2,1 chords=2,1")
-
-    def test_lineno_prefix(self):
-        with pytest.raises(GraphError, match="line 7: spec line is missing"):
-            parse_spec_line("L=3", lineno=7)
-
-    def test_parse_spec_file(self):
-        text = "\n".join(
-            [
-                "# two fixtures",
-                "",
-                "L=3 n=2 arcs=1,2,2,1 chords=2,1",
-                "  L=3 n=3 arcs=1,1,1,1,1,1 chords=2,2,2  ",
-            ]
-        )
-        assert parse_spec_file(text) == [H1_SPEC, H2_SPEC]
-
-    def test_parse_spec_file_reports_line(self):
-        with pytest.raises(GraphError, match="line 3"):
-            parse_spec_file("# header\nL=3 n=2 arcs=1,2,2,1 chords=2,1\nbroken\n")

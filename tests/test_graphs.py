@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodetic import (
+    Graph,
     GraphError,
     complete_graph,
     cycle_graph,
@@ -57,6 +58,26 @@ class TestFromEdgeList:
         g = from_edge_list(edges)
         g.validate()
         assert g.edge_count == sum(g.degree(v) for v in g.vertices()) // 2
+
+    @given(edge_lists)
+    def test_neighbours_are_ascending_tuples(self, edges):
+        expected: dict[int, set[int]] = {}
+        for u, v in edges:
+            expected.setdefault(u, set()).add(v)
+            expected.setdefault(v, set()).add(u)
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        for g in (from_edge_list(edges), parse_edge_list(text)):
+            assert isinstance(g.adjacency, tuple)
+            for v in g.vertices():
+                nbrs = g.neighbors(v)
+                assert isinstance(nbrs, tuple)
+                assert nbrs == tuple(sorted(expected.get(v, ())))
+
+    def test_validate_rejects_unordered_neighbours(self):
+        with pytest.raises(GraphError, match="vertex 0 are not strictly ascending"):
+            Graph(((2, 1), (0,), (0,))).validate()
+        with pytest.raises(GraphError, match="vertex 0 are not strictly ascending"):
+            Graph(((1, 1), (0,))).validate()
 
 
 class TestEdgeListFormat:

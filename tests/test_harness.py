@@ -130,6 +130,17 @@ class TestEnumerateSpecs:
         assert list(compositions(3, 3)) == [(1, 1, 1)]
         assert list(compositions(2, 3)) == []
 
+    def test_compositions_match_filtered_product(self):
+        # enumerate_specs and the brute-force referee both draw their arcs
+        # from compositions, so it is checked here against the definition.
+        for total in range(11):
+            for parts in range(1, 12):
+                largest = total - parts + 1  # every other part is at least 1
+                expected = [
+                    t for t in product(range(1, largest + 1), repeat=parts) if sum(t) == total
+                ]
+                assert list(compositions(total, parts)) == expected, (total, parts)
+
 
 class TestPairProperty:
     def test_h1_holds(self, h1):
