@@ -11,7 +11,7 @@ reports ``exhausted=False`` and never certifies anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
@@ -273,7 +273,7 @@ class ChordSystemSearch:
 
     system: ChordSystemMatch | None
     exhausted: bool
-    combinations_tried: int = field(default=0)
+    combinations_tried: int
 
 
 def _candidate_chords(
@@ -327,11 +327,15 @@ def find_chord_system(
 ) -> ChordSystemSearch:
     """Search ``g`` for an interleaved chord system on the even cycle ``c``.
 
-    Tries every choice of 2n endpoint positions on the cycle (n ascending,
-    positions in lexicographic order) with the forced interleaved pairing
-    (each endpoint pairs with the one n places along), every assignment of
-    candidate chord paths, pairwise vertex-disjoint, and accepts the first
-    whose spec passes all structural checks.
+    Tries every choice of 2n endpoint positions (n ascending, positions in
+    lexicographic order) with the forced interleaved pairing (each endpoint
+    pairs with the one n places along), every assignment of candidate chord
+    paths, pairwise vertex-disjoint, and accepts the first whose spec
+    passes all structural checks.  The positions are drawn only from the
+    endpoints of candidate chords: a choice whose n pairs are all candidate
+    keys uses no other position, and the choices within a sorted subset
+    keep their lexicographic order, so the tries, their order, the match and
+    the ``max_combinations`` cut-off are those of a search over all m.
     """
     validate_cycle_in(g, c)
     m = c.length
@@ -339,11 +343,10 @@ def find_chord_system(
         raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
     big_l = m // 2
     candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
-    if not candidates:
-        return ChordSystemSearch(None, not capped, 0)
+    ends = sorted({p for key in candidates for p in key})
     tried = 0
     for n in range(2, big_l + 1):
-        for subset in combinations(range(m), 2 * n):
+        for subset in combinations(ends, 2 * n):
             pairs = [(subset[i], subset[i + n]) for i in range(n)]
             pools = []
             for pair in pairs:
@@ -363,12 +366,7 @@ def find_chord_system(
                         for j in range(i + 1, n)
                     ):
                         continue
-                    arcs = tuple(
-                        subset[(k + 1) % (2 * n)] - subset[k]
-                        if k < 2 * n - 1
-                        else m - subset[-1] + subset[0]
-                        for k in range(2 * n)
-                    )
+                    arcs = tuple((subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n))
                     chords = tuple(len(p) - 1 for p in assignment)
                     spec = EmbeddedSpec(big_l, n, arcs, chords)
                     if evaluate_spec(spec).all_conditions_hold:

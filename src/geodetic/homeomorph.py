@@ -30,53 +30,51 @@ class SegmentDecomposition:
     segments: tuple[tuple[int, ...], ...]
 
 
+def _walk_segments(g: Graph, degs: list[int]) -> SegmentDecomposition:
+    """Walk every edge out of every node through degree-2 vertices to the
+    next node; each segment is kept once, as first walked."""
+    nodes = tuple(v for v, d in enumerate(degs) if d >= 3)
+    segments: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for u in nodes:
+        for first in g.adjacency[u]:
+            seq = [u, first]
+            while degs[seq[-1]] == 2:
+                seq.append(next(x for x in g.adjacency[seq[-1]] if x != seq[-2]))
+            path = tuple(seq)
+            segments.setdefault(min(path, path[::-1]), path)
+    return SegmentDecomposition(nodes, tuple(segments.values()))
+
+
 def decompose_segments(g: Graph) -> SegmentDecomposition:
     """Split a connected graph with minimum degree 2 into segments."""
     if not is_connected(g):
         raise GraphError("segment decomposition requires a connected graph")
     degs = [g.degree(v) for v in g.vertices()]
-    nodes = [v for v in g.vertices() if degs[v] >= 3]
-    if not nodes:
+    if all(d < 3 for d in degs):
         raise GraphError("graph has no vertex of degree >= 3")
     for v, d in enumerate(degs):
         if d < 2:
             raise GraphError(f"vertex {v} has degree {d}; it lies on no node-to-node segment")
-    seen: set[tuple[int, ...]] = set()
-    segments: list[tuple[int, ...]] = []
-    for u in nodes:
-        for first in g.adjacency[u]:
-            prev, cur = u, first
-            seq = [u, first]
-            while degs[cur] == 2:
-                nxt = next(x for x in g.adjacency[cur] if x != prev)
-                seq.append(nxt)
-                prev, cur = cur, nxt
-            path = tuple(seq)
-            key = min(path, path[::-1])
-            if key not in seen:
-                seen.add(key)
-                segments.append(path)
-    return SegmentDecomposition(tuple(nodes), tuple(segments))
+    return _walk_segments(g, degs)
+
+
+def _k4_segments(g: Graph) -> SegmentDecomposition | None:
+    """The segments of ``g`` if it is a K4 subdivision, else None."""
+    degs = [g.degree(v) for v in g.vertices()]
+    if degs.count(3) != 4 or any(d not in (2, 3) for d in degs) or not is_connected(g):
+        return None
+    dec = _walk_segments(g, degs)
+    # Four degree-3 nodes have 12 segment ends, so there are six segments;
+    # K4's six node pairs must each be joined by one of them.
+    if len({frozenset((s[0], s[-1])) for s in dec.segments if s[0] != s[-1]}) != 6:
+        return None
+    return dec
 
 
 def is_homeomorphic_to_k4(g: Graph) -> bool:
     """True for subdivisions of K4: four degree-3 nodes, six segments,
     one segment per node pair, no segment looping back to its own node."""
-    if g.vertex_count < 4 or not is_connected(g):
-        return False
-    degs = [g.degree(v) for v in g.vertices()]
-    if degs.count(3) != 4 or any(d not in (2, 3) for d in degs):
-        return False
-    dec = decompose_segments(g)
-    if len(dec.segments) != 6:
-        return False
-    pairs = set()
-    for seg in dec.segments:
-        a, b = seg[0], seg[-1]
-        if a == b:
-            return False
-        pairs.add(frozenset((a, b)))
-    return len(pairs) == 6
+    return _k4_segments(g) is not None
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,9 @@ def four_segment_cycles(nodes: tuple[int, ...]) -> list[tuple[int, int, int, int
 
 def theorem1_check(g: Graph) -> Theorem1Report:
     """Evaluate the K4-subdivision geodeticity conditions."""
-    if not is_homeomorphic_to_k4(g):
+    dec = _k4_segments(g)
+    if dec is None:
         return Theorem1Report(False, None, None, None, None)
-    dec = decompose_segments(g)
     seg_len = {frozenset((s[0], s[-1])): len(s) - 1 for s in dec.segments}
     dist = {v: _bfs_counts(g, v, g.vertex_count)[0] for v in dec.nodes}
     cond1 = all(len(s) - 1 == dist[s[0]][s[-1]] for s in dec.segments)

@@ -3,8 +3,9 @@
 Everything here favours transparent exhaustive search over the algorithms
 under test: shortest paths come from enumerating simple paths with a
 best-length bound, never from BFS multiplicity accumulation, cycles
-from testing every cyclic vertex arrangement, and sweep specs from
-evaluating every chord tuple.  Agreement between these and the fast
+from testing every cyclic vertex arrangement, sweep specs from
+evaluating every chord tuple, and chord systems from trying every
+2n-subset of a cycle's positions.  Agreement between these and the fast
 implementations is therefore meaningful evidence.
 """
 
@@ -13,8 +14,23 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from geodetic import ConditionReport, EmbeddedSpec, Graph, SweepBounds, evaluate_spec
-from geodetic.harness import compositions
+from geodetic import (
+    ConditionReport,
+    CycleView,
+    EmbeddedSpec,
+    Graph,
+    GraphError,
+    SearchLimits,
+    SweepBounds,
+    evaluate_spec,
+    validate_cycle_in,
+)
+from geodetic.harness import (
+    ChordSystemMatch,
+    ChordSystemSearch,
+    _candidate_chords,
+    compositions,
+)
 
 
 def brute_shortest_paths(g: Graph, u: int, v: int) -> tuple[int | None, list[tuple[int, ...]]]:
@@ -137,3 +153,56 @@ def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
                         bounds.include_invalid and report.validation.ok
                     ):
                         yield report
+
+
+def brute_find_chord_system(g: Graph, c: CycleView, limits: SearchLimits) -> ChordSystemSearch:
+    """The chord-system search over every 2n-subset of the m cycle
+    positions, each looked up among the candidate chords afterwards.  Same
+    candidates, order, cap and result fields as ``find_chord_system``;
+    exponential in m even when almost no pair has a candidate chord."""
+    validate_cycle_in(g, c)
+    m = c.length
+    if m % 2:
+        raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
+    big_l = m // 2
+    candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
+    if not candidates:
+        return ChordSystemSearch(None, not capped, 0)
+    tried = 0
+    for n in range(2, big_l + 1):
+        for subset in combinations(range(m), 2 * n):
+            pairs = [(subset[i], subset[i + n]) for i in range(n)]
+            pools = []
+            for pair in pairs:
+                pool = candidates.get(pair)
+                if not pool:
+                    break
+                pools.append(pool)
+            else:
+                for assignment in product(*pools):
+                    tried += 1
+                    if tried > limits.max_combinations:
+                        return ChordSystemSearch(None, False, tried - 1)
+                    vsets = [frozenset(p) for p in assignment]
+                    if any(
+                        vsets[i] & vsets[j]
+                        for i in range(n)
+                        for j in range(i + 1, n)
+                    ):
+                        continue
+                    arcs = tuple(
+                        subset[(k + 1) % (2 * n)] - subset[k]
+                        if k < 2 * n - 1
+                        else m - subset[-1] + subset[0]
+                        for k in range(2 * n)
+                    )
+                    chords = tuple(len(p) - 1 for p in assignment)
+                    spec = EmbeddedSpec(big_l, n, arcs, chords)
+                    if evaluate_spec(spec).all_conditions_hold:
+                        match = ChordSystemMatch(
+                            spec,
+                            tuple(c.vertices[p] for p in subset),
+                            tuple(assignment),
+                        )
+                        return ChordSystemSearch(match, not capped, tried)
+    return ChordSystemSearch(None, not capped, tried)

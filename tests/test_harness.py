@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
 from itertools import product
 from math import comb
@@ -17,18 +18,24 @@ from geodetic import (
     corollary4_check,
     count_geodesics,
     cycle_graph,
+    cycle_with_chord,
     enumerate_specs,
     find_chord_system,
     finding_record,
     minimal_even_cycles,
+    parse_spec_line,
     path_graph,
     sweep_validate,
     theorem2_pair_property,
 )
 from geodetic.harness import compositions
-from oracles import brute_enumerate_specs
+from oracles import brute_enumerate_specs, brute_find_chord_system
 
 K4_SPEC = EmbeddedSpec(2, 2, (1, 1, 1, 1), (1, 1))
+
+# The spec graph of the benchmark's certify workload: its minimal even
+# cycles have 16 positions and many candidate chords.
+CERTIFY_SPEC = parse_spec_line("L=8 n=4 arcs=2,1,4,2,1,4,1,1 chords=6,7,4,7")
 
 # Chord-valid, condition 1 and embeddedness fine, condition 2 broken
 # (adjacent-chord cycles have lengths 6 and 8): the smallest spec exercising
@@ -207,6 +214,55 @@ class TestFindChordSystem:
             find_chord_system(cycle_graph(6), CycleView.from_sequence((0, 2, 4, 1)))
 
 
+SEARCH_LIMITS = (
+    SearchLimits(),
+    SearchLimits(max_combinations=0),
+    SearchLimits(max_combinations=1),
+    SearchLimits(max_combinations=3),
+    SearchLimits(max_paths_per_pair=1),
+)
+
+
+def searches_match_brute_force(graphs):
+    """Run both chord-system searches on every minimal even cycle of every
+    graph under every limit setting, assert equal results (system,
+    exhausted, combinations_tried) and return them."""
+    results = []
+    for g in graphs:
+        for c in minimal_even_cycles(g, max(g.vertex_count, 4))[1]:
+            for limits in SEARCH_LIMITS:
+                result = find_chord_system(g, c, limits)
+                assert result == brute_find_chord_system(g, c, limits), (g.edges(), c, limits)
+                results.append(result)
+    return results
+
+
+class TestFindChordSystemMatchesBruteForce:
+    def test_corpus(self, corpus):
+        results = searches_match_brute_force(corpus)
+        assert any(r.system is not None for r in results)
+
+    def test_named_graphs(self, petersen, h1, h2):
+        results = searches_match_brute_force(
+            [petersen, h1.graph, h2.graph, build(CERTIFY_SPEC).graph]
+        )
+        assert any(r.system is not None for r in results)
+        assert any(not r.exhausted for r in results)
+        assert any(r.system is None and r.exhausted and r.combinations_tried for r in results)
+
+    def test_chorded_cycles(self):
+        # Both chord cycles are odd, so the whole cycle stays the minimal
+        # even cycle, with one candidate pair and no chord system.
+        graphs = [cycle_with_chord(m, 0, a, chord_length=a - 1) for m, a in ((12, 5), (16, 7))]
+        for r in searches_match_brute_force(graphs):
+            assert r.system is None and r.exhausted and r.combinations_tried == 0
+
+    def test_spec_graphs(self):
+        graphs = [build(report.spec).graph for report in enumerate_specs(SweepBounds(5))]
+        assert len(graphs) == 73
+        searches_match_brute_force(graphs)
+
+
 class TestCorollary4Check:
     def test_chorded_c8_is_certified(self, c8_chord):
         report = corollary4_check(c8_chord)
@@ -270,6 +326,17 @@ class TestCorollary4Check:
         verdicts = corollary4_check(cycle_graph(30)).verdicts
         assert len(verdicts) == 1
         assert verdicts[0].search_exhausted and verdicts[0].certified_nongeodetic
+
+    def test_single_candidate_chord_is_certified_at_once(self):
+        # One candidate pair cannot make an interleaved system, yet the
+        # 2n-subsets of all 22 positions number 2,096,920.
+        g = cycle_with_chord(22, 0, 9, chord_length=8)
+        start = time.perf_counter()
+        verdicts = corollary4_check(g).verdicts
+        elapsed = time.perf_counter() - start
+        assert [v.cycle.length for v in verdicts] == [22]
+        assert verdicts[0].search_exhausted and verdicts[0].certified_nongeodetic
+        assert elapsed < 0.5
 
     @pytest.mark.parametrize(
         "kwargs, message",

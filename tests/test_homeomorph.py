@@ -129,3 +129,20 @@ class TestTheorem1Check:
             assert verdict == (brute_k(g)[0] == 1)
             agreements += 1
         assert agreements == 64
+
+    def test_one_connectivity_check_per_call(self, monkeypatch):
+        from geodetic import homeomorph
+
+        calls = 0
+        real_is_connected = homeomorph.is_connected
+
+        def counting_is_connected(g):
+            nonlocal calls
+            calls += 1
+            return real_is_connected(g)
+
+        monkeypatch.setattr(homeomorph, "is_connected", counting_is_connected)
+        for g in (subdivided_k4((2, 1, 1, 1, 1, 1)), complete_graph(4)):
+            calls = 0
+            assert theorem1_check(g).is_k4_homeomorph
+            assert calls == 1
