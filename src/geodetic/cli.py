@@ -285,6 +285,7 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
     )
     report = corollary4_check(g, limits)
     verdicts, scanned, exhaustive = report.verdicts, report.scanned_max_length, report.exhaustive
+    certified = any(v.certified_nongeodetic for v in verdicts)
     payload = {
         "verdicts": [
             {
@@ -298,7 +299,7 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
             for v in verdicts
         ],
         "oracle_k": report.oracle_k,
-        "certified_nongeodetic": any(v.certified_nongeodetic for v in verdicts),
+        "certified_nongeodetic": certified,
         "scanned_max_length": scanned,
         "exhaustive": exhaustive,
     }
@@ -318,7 +319,6 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
             text.append(head + "no chord system (search exhausted)")
         else:
             text.append(head + "no chord system found, but search hit a cap (inconclusive)")
-    certified = any(v.certified_nongeodetic for v in verdicts)
     if certified:
         text.append("certified: the graph is not geodetic")
     else:
@@ -370,8 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cor4", "certify nongeodeticity via chord-system search", _cmd_cor4)
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--max-cycle-len", type=int, default=None, help="minimal-even-cycle scan cap")
-    p.add_argument("--max-paths", type=int, default=64, help="candidate chord paths per endpoint pair")
-    p.add_argument("--max-combos", type=int, default=250_000, help="chord assignments to try")
+    p.add_argument(
+        "--max-paths",
+        type=int,
+        default=SearchLimits.max_paths_per_pair,
+        help="candidate chord paths per endpoint pair",
+    )
+    p.add_argument(
+        "--max-combos",
+        type=int,
+        default=SearchLimits.max_combinations,
+        help="chord assignments to try",
+    )
 
     return parser
 

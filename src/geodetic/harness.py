@@ -60,68 +60,52 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
-def _condition2_chords(big_l: int, n: int, arcs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The chord tuples in [1, L-1]^n that solve condition 2's cyclic
-    system on ``arcs``, in lexicographic order."""
-    sums = [2 * big_l - arcs[i] - arcs[n + i] for i in range(n)]
-    alternating = sum(sums[0::2]) - sum(sums[1::2])
-    if n % 2:
-        firsts = () if alternating % 2 else (alternating // 2,)
-    else:
-        firsts = () if alternating else range(1, big_l)
-    for first in firsts:
-        chords = [first]
-        for s in sums[:-1]:
-            chords.append(s - chords[-1])
-        if all(0 < c < big_l for c in chords):
-            yield tuple(chords)
+def _condition_specs(big_l: int, n: int) -> Iterator[EmbeddedSpec]:
+    """The condition-satisfying specs of cell (L, n), one per composition
+    of L + n into 2n parts, in composition rank order."""
+    for w in compositions(big_l + n, 2 * n):
+        arcs = tuple(w[k] + w[(k + n + 1) % (2 * n)] - 1 for k in range(2 * n))
+        chords = tuple(big_l + 1 - w[i] - w[n + i] for i in range(n))
+        yield EmbeddedSpec(big_l, n, arcs, chords)
 
 
-def _valid_chords(big_l: int, n: int, arcs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every chord tuple whose chords are strictly shorter than both arcs
-    between their endpoints, in lexicographic order."""
-    spans = [sum(arcs[i : n + i]) for i in range(n)]
-    return product(*(range(1, min(s, 2 * big_l - s)) for s in spans))
+def _valid_specs(big_l: int, n: int) -> Iterator[EmbeddedSpec]:
+    """Every chord-valid spec of cell (L, n), arcs then chords in
+    lexicographic order."""
+    for arcs in compositions(2 * big_l, 2 * n):
+        spans = [sum(arcs[i : n + i]) for i in range(n)]
+        for chords in product(*(range(1, min(s, 2 * big_l - s)) for s in spans)):
+            yield EmbeddedSpec(big_l, n, arcs, chords)
 
 
 def enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
-    """Deterministic enumeration: L ascending, then n, then arcs and chords
-    in lexicographic order.  Each candidate is evaluated once, and the
-    report of every yielded spec is the one sweeps use; only chord-valid
-    specs are ever yielded.
+    """Deterministic enumeration: L ascending, then n, then the cell's
+    specs, each built only if the sweep keeps it and evaluated once.
 
-    The chord loop builds only candidates that meet condition 2, or chord
-    validity with ``include_invalid``, instead of all of [1, L-1]^n.
-    Condition 2 asks every neighbouring-chord cycle to have length 2L,
-    which is the cyclic linear system ``c_i + c_{i+1} = s_i`` (indices mod
-    n) with ``s_i = 2L - arcs[i] - arcs[n+i]``.  Propagating from ``c_0``
-    gives ``c_n = (-1)^n c_0 + (-1)^(n-1) A`` with the alternating sum
-    ``A = s_0 - s_1 + s_2 - ...``, and closing the cycle needs ``c_n = c_0``:
-
-    - odd n: ``2 c_0 = A``, so an odd A has no solution and an even one
-      fixes ``c_0 = A/2`` and with it every chord;
-    - even n: the system is solvable only when ``A = 0``, and then ``c_0``
-      is free; it runs over ``[1, L-1]``.
-
-    ``c_{i+1} = s_i - c_i`` then fixes the rest, and tuples with a chord
-    outside ``[1, L-1]`` are dropped.  ``c_0`` determines the tuple, so
-    ascending ``c_0`` is lexicographic order.  With ``include_invalid`` the
-    sweep wants every chord-valid spec instead, so chord i runs over
-    ``range(1, min(span_i, 2L - span_i))``, where ``span_i`` is the arc
-    from endpoint i clockwise to endpoint n+i.  Either way ``evaluate_spec``
-    still decides every candidate; the generators only skip the ones it
-    would reject.
+    With ``include_invalid`` a cell holds every chord-valid spec: chord i
+    runs over ``range(1, min(s_i, 2L - s_i))``, where ``s_i`` is its
+    clockwise span.  By default it holds the specs that pass every check,
+    and these are in bijection with the weak compositions of L - n into 2n
+    parts, so a cell holds C(L+n-1, 2n-1) of them.  Condition 1 makes
+    ``x_i = (s_i - c_i - 1)/2`` and ``y_i = (2L - s_i - c_i - 1)/2``
+    integers, chord validity makes them >= 0, and summing condition 2's n
+    cycles gives ``sum c_i = (n-1)L``, so the 2n values sum to L - n.
+    Conversely ``c_i = L - 1 - x_i - y_i``, and each arc lies between two
+    neighbouring chords: ``arcs[i] = 1 + x_i + y_{i+1}`` and
+    ``arcs[n+i] = 1 + y_i + x_{i+1}`` for i < n-1, while the wrap-around
+    arcs meet chord 0 from its other side, ``arcs[n-1] = 1 + x_{n-1} + x_0``
+    and ``arcs[2n-1] = 1 + y_{n-1} + y_0``.  In the cyclic sequence
+    ``w = (x_0 + 1, ..., x_{n-1} + 1, y_0 + 1, ..., y_{n-1} + 1)``, a
+    composition of L + n, that is ``arcs[k] = w_k + w_{k+n+1 mod 2n} - 1``.
+    Every image is chord-valid and meets both conditions, so it is also
+    embedded: its chord-plus-arc cycles are odd and its neighbouring-chord
+    cycles have length exactly 2L.
     """
-    chord_tuples = _valid_chords if bounds.include_invalid else _condition2_chords
+    cell_specs = _valid_specs if bounds.include_invalid else _condition_specs
     for big_l in range(2, bounds.L_max + 1):
         for n in range(2, big_l + 1):
-            for arcs in compositions(2 * big_l, 2 * n):
-                for chords in chord_tuples(big_l, n, arcs):
-                    report = evaluate_spec(EmbeddedSpec(big_l, n, arcs, chords))
-                    if report.all_conditions_hold or (
-                        bounds.include_invalid and report.validation.ok
-                    ):
-                        yield report
+            for spec in cell_specs(big_l, n):
+                yield evaluate_spec(spec)
 
 
 @dataclass(frozen=True)

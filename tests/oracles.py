@@ -4,9 +4,11 @@ Everything here favours transparent exhaustive search over the algorithms
 under test: shortest paths come from enumerating simple paths with a
 best-length bound, never from BFS multiplicity accumulation, cycles
 from testing every cyclic vertex arrangement, sweep specs from
-evaluating every chord tuple, and chord systems from trying every
-2n-subset of a cycle's positions.  Agreement between these and the fast
-implementations is therefore meaningful evidence.
+evaluating every chord tuple, or at larger L from solving condition 2 on
+every arc composition, never from the composition bijection, and chord
+systems from trying every 2n-subset of a cycle's positions.  Agreement
+between these and the fast implementations is therefore meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def brute_lemma1(
 def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
     """The spec sweep by generate and test: every arc composition with
     every chord tuple in [1, L-1]^n, each evaluated and kept when the
-    sweep's filter accepts it.  Same order as ``enumerate_specs``: L
-    ascending, then n, then arcs and chords in lexicographic order."""
+    sweep's filter accepts it.  L ascending, then n, then arcs and chords
+    in lexicographic order: the order of ``enumerate_specs`` with
+    ``include_invalid``; by default the same specs in another order."""
     for big_l in range(2, bounds.L_max + 1):
         for n in range(2, big_l + 1):
             for arcs in compositions(2 * big_l, 2 * n):
@@ -152,6 +155,44 @@ def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
                     if report.all_conditions_hold or (
                         bounds.include_invalid and report.validation.ok
                     ):
+                        yield report
+
+
+def _condition2_chords(big_l: int, n: int, arcs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The chord tuples in [1, L-1]^n that solve condition 2's cyclic
+    system on ``arcs``, in lexicographic order.
+
+    Condition 2 is ``c_i + c_{i+1} = s_i`` (indices mod n) with
+    ``s_i = 2L - arcs[i] - arcs[n+i]``.  Propagating from ``c_0`` gives
+    ``c_n = (-1)^n c_0 + (-1)^(n-1) A`` with ``A = s_0 - s_1 + s_2 - ...``,
+    and closing the cycle needs ``c_n = c_0``: for odd n, ``c_0 = A/2`` when
+    A is even and there is no solution otherwise; for even n there is a
+    solution only when ``A = 0``, and then ``c_0`` runs over [1, L-1]."""
+    sums = [2 * big_l - arcs[i] - arcs[n + i] for i in range(n)]
+    alternating = sum(sums[0::2]) - sum(sums[1::2])
+    if n % 2:
+        firsts = () if alternating % 2 else (alternating // 2,)
+    else:
+        firsts = () if alternating else range(1, big_l)
+    for first in firsts:
+        chords = [first]
+        for s in sums[:-1]:
+            chords.append(s - chords[-1])
+        if all(0 < c < big_l for c in chords):
+            yield tuple(chords)
+
+
+def condition2_enumerate_specs(l_max: int) -> Iterator[ConditionReport]:
+    """The condition-satisfying sweep by solving condition 2: every arc
+    composition of 2L, its chords from ``_condition2_chords``, each
+    candidate evaluated and kept when all its checks pass.  L ascending,
+    then n, then arcs and chords in lexicographic order."""
+    for big_l in range(2, l_max + 1):
+        for n in range(2, big_l + 1):
+            for arcs in compositions(2 * big_l, 2 * n):
+                for chords in _condition2_chords(big_l, n, arcs):
+                    report = evaluate_spec(EmbeddedSpec(big_l, n, arcs, chords))
+                    if report.all_conditions_hold:
                         yield report
 
 

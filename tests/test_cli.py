@@ -276,7 +276,7 @@ class TestSweep:
         assert header["L_max"] == 3
         assert [r["spec"] for r in records] == [
             "L=2 n=2 arcs=1,1,1,1 chords=1,1",
-            "L=3 n=2 arcs=1,1,2,2 chords=1,2",
+            "L=3 n=2 arcs=2,1,1,2 chords=2,1",
         ]
 
 

@@ -29,7 +29,7 @@ from geodetic import (
     theorem2_pair_property,
 )
 from geodetic.harness import compositions
-from oracles import brute_enumerate_specs, brute_find_chord_system
+from oracles import brute_enumerate_specs, brute_find_chord_system, condition2_enumerate_specs
 
 K4_SPEC = EmbeddedSpec(2, 2, (1, 1, 1, 1), (1, 1))
 
@@ -79,11 +79,12 @@ class TestEnumerateSpecs:
         assert enumerated_specs(SweepBounds(2)) == [K4_SPEC]
 
     def test_l3_space(self):
+        # Composition rank order within each (L, n) cell.
         assert enumerated_specs(SweepBounds(3)) == [
             K4_SPEC,
+            EmbeddedSpec(3, 2, (2, 1, 1, 2), (2, 1)),
             EmbeddedSpec(3, 2, (1, 1, 2, 2), (1, 2)),
             H1_SPEC,
-            EmbeddedSpec(3, 2, (2, 1, 1, 2), (2, 1)),
             EmbeddedSpec(3, 2, (2, 2, 1, 1), (1, 2)),
             H2_SPEC,
         ]
@@ -113,13 +114,27 @@ class TestEnumerateSpecs:
     @pytest.mark.parametrize("l_max", [2, 3, 4, 5])
     def test_matches_generate_and_test(self, l_max, include_invalid):
         bounds = SweepBounds(l_max, include_invalid)
-        assert list(enumerate_specs(bounds)) == list(brute_enumerate_specs(bounds))
+        ours = list(enumerate_specs(bounds))
+        theirs = list(brute_enumerate_specs(bounds))
+        if include_invalid:
+            assert ours == theirs
+        else:
+            # The bijection emits composition rank order; compare as
+            # multisets, so a duplicate still fails.
+            assert sorted(ours, key=repr) == sorted(theirs, key=repr)
+
+    def test_matches_condition2_solver(self):
+        ours = enumerated_specs(SweepBounds(8))
+        theirs = [r.spec for r in condition2_enumerate_specs(8)]
+        assert len(ours) == len(set(ours)) == 1560
+        assert set(ours) == set(theirs)
 
     def test_cell_counts_follow_the_binomial(self):
         """Each (L, n) cell with 2 <= n <= L <= 10 holds C(L+n-1, 2n-1)
-        condition-satisfying specs.  The formula is observed on these 45
-        cells, not proved; the totals are 211, 1,560 and 10,890 specs at
-        L_max = 6, 8 and 10."""
+        condition-satisfying specs.  The formula is proved: the cell's specs
+        are in bijection with the weak compositions of L - n into 2n parts
+        (``harness._condition_specs``).  The totals are 211, 1,560 and
+        10,890 specs at L_max = 6, 8 and 10."""
         cells = Counter((r.spec.L, r.spec.n) for r in enumerate_specs(SweepBounds(10)))
         assert cells == {
             (big_l, n): comb(big_l + n - 1, 2 * n - 1)
@@ -397,9 +412,9 @@ class TestSweepValidate:
         monkeypatch.setattr(embedding, "validate_spec", counting_validate)
         findings = list(sweep_validate(SweepBounds(4)))
         assert len(findings) == 23
-        assert sum(evaluated.values()) == 50  # condition 2's solutions in [1, L-1]^n
+        assert sum(evaluated.values()) == 23  # every candidate is yielded
         assert max(evaluated.values()) == 1
-        assert validations <= 50 + 23  # one per candidate, one per build
+        assert validations <= 23 + 23  # one per candidate, one per build
 
     def test_oracle_is_one_bfs_per_vertex(self, monkeypatch):
         from geodetic import graphs, harness
