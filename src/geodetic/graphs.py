@@ -138,13 +138,16 @@ def format_edge_list(g: Graph, *, header: str | None = None) -> str:
 def load_edge_list(path: str | Path) -> Graph:
     """Read an edge-list file whose every vertex lies on an edge.
 
-    k edge lines touch at most 2k vertices, so a larger vertex id leaves a
-    vertex on no edge and the graph disconnected.  Such a file is refused
-    before an adjacency set is allocated per id, so one huge id cannot
-    exhaust memory.
+    A file with no edge line is refused: it names no vertex at all.  k edge
+    lines touch at most 2k vertices, so a larger vertex id leaves a vertex
+    on no edge and the graph disconnected.  Such a file is refused before
+    an adjacency set is allocated per id, so one huge id cannot exhaust
+    memory.
     """
     edges = _edge_lines(Path(path).read_text())
-    top = max(map(max, edges), default=-1)
+    if not edges:
+        raise GraphError("no edge lines, so the graph has no vertex")
+    top = max(map(max, edges))
     if top + 1 > 2 * len(edges):
         raise GraphError(
             f"vertex id {top} implies {top + 1} vertices, more than twice the "

@@ -2,6 +2,10 @@
 structural predictions against the brute-force shortest-path oracle, and
 search arbitrary graphs for chord systems on their minimal even cycles.
 
+The sweep runs the oracle once per orbit of specs under rotation and
+reflection of the chord endpoints, since those specs build isomorphic
+graphs, and relabels its reading for the rest of the orbit.
+
 The chord-system search drives the nongeodeticity certifier: a minimal
 even cycle of a geodetic graph always carries an interleaved chord system
 satisfying the two cycle conditions, so an exhausted search that finds
@@ -174,24 +178,91 @@ class SweepFinding:
     consistent: bool
 
 
+def _orbit_key(spec: EmbeddedSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int, int]:
+    """The least ``(arcs, chords)`` image of ``spec`` over the 4n rotations
+    and reflections of its 2n chord endpoints, and the map
+    ``x -> (sign * x + shift) mod 2L`` from the image's cycle vertices to
+    the spec's, as ``(image, sign, shift)``.
+
+    Rotating by k endpoints starts the arcs at endpoint k and the chords at
+    chord k mod n, so the image's vertex x is the spec's
+    ``x + arcs[0] + ... + arcs[k-1]``;
+    reflecting that rotation reverses the arcs and keeps chord 0 while
+    reversing the rest, and negates x.  The first minimal image is kept, so
+    a spec that is its own least image maps to itself by the identity.
+    """
+    arcs, chords, n = spec.arcs, spec.chords, spec.n
+    best = (arcs, chords), 1, 0
+    shift = 0
+    for k in range(2 * n):
+        a = arcs[k:] + arcs[:k]
+        c = chords[k % n :] + chords[: k % n]
+        for image, sign in (((a, c), 1), ((a[::-1], c[:1] + c[:0:-1]), -1)):
+            if image < best[0]:
+                best = image, sign, shift
+        shift += arcs[k]
+    return best
+
+
+def _relabel(pairs: PairPropertyReport, sign: int, shift: int, m: int) -> PairPropertyReport:
+    """``pairs`` carried along the cycle map ``x -> (sign * x + shift) mod m``:
+    each violation's pair is mapped and ordered, and the violations sorted
+    as ``theorem2_pair_property`` lists them.  Distances, counts, opposition
+    and ``oracle_k`` are isomorphism invariants."""
+    moved = []
+    for p in pairs.violations:
+        u, v = (sign * p.u + shift) % m, (sign * p.v + shift) % m
+        moved.append((u, v, p) if u < v else (v, u, p))
+    moved.sort()  # the mapped pairs are distinct, so no violation is compared
+    return PairPropertyReport(
+        pairs.holds,
+        tuple(PairViolation(u, v, p.distance, p.count, p.opposite) for u, v, p in moved),
+        pairs.oracle_k,
+    )
+
+
+def _finding(report: ConditionReport, pairs: PairPropertyReport) -> SweepFinding:
+    """Compare one spec's structural checks against its oracle reading."""
+    oracle = GeodeticClass(pairs.oracle_k)
+    predicted = report.predicted_class
+    if predicted is not None:
+        consistent = pairs.holds and oracle.k <= predicted.k
+    elif report.embeddedness is not None and report.embeddedness.ok:
+        # An embedded chord system failing a cycle condition must break
+        # the on-cycle pair property; that is the converse direction.
+        consistent = not pairs.holds
+    else:
+        # No structural claim covers chord layouts with short even
+        # cycles; the record survives in the findings for inspection.
+        consistent = True
+    return SweepFinding(report.spec, report, oracle, pairs, consistent)
+
+
 def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
-    """Build every enumerated spec, run the oracle, and compare."""
+    """Run the oracle on every enumerated spec and compare.
+
+    Rotating or reflecting a spec's chord endpoints gives an isomorphic
+    graph, and isomorphic graphs have the same geodesic counts, so the
+    oracle is built and run once per such orbit, on its least image (see
+    ``_orbit_key``), and every other spec of the orbit gets that reading
+    with its cycle vertices relabelled.  The readings are cached per
+    (L, n) cell, so memory is bounded by one cell's orbits.
+    """
+    cell = None
+    readings: dict[tuple[tuple[int, ...], tuple[int, ...]], PairPropertyReport] = {}
     for report in enumerate_specs(bounds):
         spec = report.spec
-        pairs = theorem2_pair_property(build(spec))
-        oracle = GeodeticClass(pairs.oracle_k)
-        predicted = report.predicted_class
-        if predicted is not None:
-            consistent = pairs.holds and oracle.k <= predicted.k
-        elif report.embeddedness is not None and report.embeddedness.ok:
-            # An embedded chord system failing a cycle condition must break
-            # the on-cycle pair property; that is the converse direction.
-            consistent = not pairs.holds
-        else:
-            # No structural claim covers chord layouts with short even
-            # cycles; the record survives in the findings for inspection.
-            consistent = True
-        yield SweepFinding(spec, report, oracle, pairs, consistent)
+        if (spec.L, spec.n) != cell:
+            cell, readings = (spec.L, spec.n), {}
+        image, sign, shift = _orbit_key(spec)
+        pairs = readings.get(image)
+        if pairs is None:
+            pairs = readings[image] = theorem2_pair_property(
+                build(EmbeddedSpec(spec.L, spec.n, *image))
+            )
+        if (sign, shift) != (1, 0):
+            pairs = _relabel(pairs, sign, shift, spec.cycle_length)
+        yield _finding(report, pairs)
 
 
 def finding_record(f: SweepFinding) -> dict:

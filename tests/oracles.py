@@ -24,13 +24,18 @@ from geodetic import (
     GraphError,
     SearchLimits,
     SweepBounds,
+    build,
+    enumerate_specs,
     evaluate_spec,
+    theorem2_pair_property,
     validate_cycle_in,
 )
 from geodetic.harness import (
     ChordSystemMatch,
     ChordSystemSearch,
+    SweepFinding,
     _candidate_chords,
+    _finding,
     compositions,
 )
 
@@ -194,6 +199,18 @@ def condition2_enumerate_specs(l_max: int) -> Iterator[ConditionReport]:
                     report = evaluate_spec(EmbeddedSpec(big_l, n, arcs, chords))
                     if report.all_conditions_hold:
                         yield report
+
+
+def brute_sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
+    """The sweep with the oracle built and run on every enumerated spec.
+
+    ``sweep_validate`` runs it once per orbit of a spec's chord endpoints
+    under rotation and reflection, and relabels the result for the rest of
+    the orbit.  That shortcut rests on graph theory alone (isomorphic graphs
+    have the same geodesic counts), not on the paper's cycle conditions, so
+    this loop stays an independent check of it."""
+    for report in enumerate_specs(bounds):
+        yield _finding(report, theorem2_pair_property(build(report.spec)))
 
 
 def brute_find_chord_system(g: Graph, c: CycleView, limits: SearchLimits) -> ChordSystemSearch:

@@ -370,6 +370,16 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: vertex id 999999999 implies 1000000000 vertices")
 
+    @pytest.mark.parametrize("command", ["classify", "lemma1", "k4-check", "cor4"])
+    def test_file_without_edges_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "blank.edges"
+        path.write_text("# a comment, then a blank line\n\n")
+        rc = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: no edge lines, so the graph has no vertex\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -118,7 +118,8 @@ class TestEdgeListFormat:
         path.write_text("0 1\n2 3\n")
         assert load_edge_list(path).vertex_count == 4
         path.write_text("# nothing\n")
-        assert load_edge_list(path).vertex_count == 0
+        with pytest.raises(GraphError, match="no edge lines"):
+            load_edge_list(path)
         # Parsing text keeps isolated vertices, so any graph round-trips.
         assert parse_edge_list("0 2\n").vertex_count == 3
 

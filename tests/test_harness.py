@@ -6,6 +6,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import H1_SPEC, H2_SPEC
 from geodetic import (
@@ -28,8 +30,13 @@ from geodetic import (
     sweep_validate,
     theorem2_pair_property,
 )
-from geodetic.harness import compositions
-from oracles import brute_enumerate_specs, brute_find_chord_system, condition2_enumerate_specs
+from geodetic.harness import _orbit_key, compositions
+from oracles import (
+    brute_enumerate_specs,
+    brute_find_chord_system,
+    brute_sweep_validate,
+    condition2_enumerate_specs,
+)
 
 K4_SPEC = EmbeddedSpec(2, 2, (1, 1, 1, 1), (1, 1))
 
@@ -72,6 +79,46 @@ def local_condition_satisfying_specs(l_max):
 
 def enumerated_specs(bounds):
     return [report.spec for report in enumerate_specs(bounds)]
+
+
+@st.composite
+def cycle_specs(draw):
+    """Specs with 2n arcs summing to 2L and n chords, chords drawn from a
+    small range so that many images tie on their arcs."""
+    big_l = draw(st.integers(2, 8))
+    n = draw(st.integers(2, big_l))
+    cuts = sorted(
+        draw(st.sets(st.integers(1, 2 * big_l - 1), min_size=2 * n - 1, max_size=2 * n - 1))
+    )
+    ends = [0, *cuts, 2 * big_l]
+    arcs = tuple(b - a for a, b in zip(ends, ends[1:]))
+    chords = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    return EmbeddedSpec(big_l, n, arcs, chords)
+
+
+def chord_diagram(spec):
+    """The spec's chords as (endpoint pair on the cycle, length)."""
+    pos = spec.node_positions()
+    return {(frozenset((pos[i], pos[spec.n + i])), c) for i, c in enumerate(spec.chords)}
+
+
+def dihedral_images(spec):
+    """The 4n specs read off the spec's chord diagram after each rotation
+    and reflection of the cycle that moves a chord endpoint to vertex 0."""
+    m = spec.cycle_length
+    for p in spec.node_positions():
+        for sign in (1, -1):
+            diagram = {
+                (frozenset((sign * (x - p)) % m for x in pair), c)
+                for pair, c in chord_diagram(spec)
+            }
+            ends = sorted(x for pair, _ in diagram for x in pair)
+            arcs = tuple((ends[(k + 1) % len(ends)] - ends[k]) % m for k in range(len(ends)))
+            length = dict(diagram)
+            chords = tuple(
+                length[frozenset((ends[i], ends[spec.n + i]))] for i in range(spec.n)
+            )
+            yield EmbeddedSpec(spec.L, spec.n, arcs, chords)
 
 
 class TestEnumerateSpecs:
@@ -416,6 +463,29 @@ class TestSweepValidate:
         assert max(evaluated.values()) == 1
         assert validations <= 23 + 23  # one per candidate, one per build
 
+    @pytest.mark.parametrize("bounds", [SweepBounds(4, include_invalid=True), SweepBounds(8)])
+    def test_matches_the_oracle_on_every_spec(self, bounds):
+        assert [finding_record(f) for f in sweep_validate(bounds)] == [
+            finding_record(f) for f in brute_sweep_validate(bounds)
+        ]
+
+    @given(cycle_specs())
+    def test_orbit_key_is_shared_and_maps_chords(self, spec):
+        image, sign, shift = _orbit_key(spec)
+        images = list(dihedral_images(spec))
+        assert len(images) == 4 * spec.n
+        for other in images:
+            assert _orbit_key(other)[0] == image
+        assert image == min((s.arcs, s.chords) for s in images)
+        rep = EmbeddedSpec(spec.L, spec.n, *image)
+        assert _orbit_key(rep) == (image, 1, 0)  # a representative keeps its labels
+        m = spec.cycle_length
+        mapped = {
+            (frozenset((sign * x + shift) % m for x in pair), c)
+            for pair, c in chord_diagram(rep)
+        }
+        assert mapped == chord_diagram(spec)
+
     def test_oracle_is_one_bfs_per_vertex(self, monkeypatch):
         from geodetic import graphs, harness
 
@@ -433,7 +503,17 @@ class TestSweepValidate:
         monkeypatch.setattr(harness, "_bfs_counts", counting_bfs)
         monkeypatch.setattr(harness, "count_geodesics", forbidden)
         findings = list(sweep_validate(SweepBounds(4, include_invalid=True)))
-        assert searches == sum(build(f.spec).graph.vertex_count for f in findings)
+        # One oracle run per orbit of rotations and reflections, on its
+        # least image: 107 orbits among the 558 specs.
+        representatives = {
+            (f.spec.L, f.spec.n, min((s.arcs, s.chords) for s in dihedral_images(f.spec)))
+            for f in findings
+        }
+        assert (len(findings), len(representatives)) == (558, 107)
+        assert searches == sum(
+            build(EmbeddedSpec(big_l, n, *image)).graph.vertex_count
+            for big_l, n, image in representatives
+        )
 
     def test_oracle_matches_count_geodesics(self):
         for f in sweep_validate(SweepBounds(4, include_invalid=True)):
