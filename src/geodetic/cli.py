@@ -8,6 +8,7 @@ errors.  Every subcommand accepts ``--json`` for machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -327,7 +328,12 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
     return WITNESS if certified else OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process, so callers must not modify it.
+    Each ``parse_args`` fills a fresh namespace, so no call sees another's
+    options."""
     parser = argparse.ArgumentParser(
         prog="geodetic",
         description="Geodetic graph analysis: shortest-path multiplicity, "
@@ -387,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, reports.ReportError, OSError) as exc:

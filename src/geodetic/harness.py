@@ -378,7 +378,11 @@ def _candidate_chords(
 
 
 def find_chord_system(
-    g: Graph, c: CycleView, limits: SearchLimits = SearchLimits()
+    g: Graph,
+    c: CycleView,
+    limits: SearchLimits = SearchLimits(),
+    *,
+    spec_verdicts: dict[EmbeddedSpec, bool] | None = None,
 ) -> ChordSystemSearch:
     """Search ``g`` for an interleaved chord system on the even cycle ``c``.
 
@@ -391,12 +395,21 @@ def find_chord_system(
     keys uses no other position, and the choices within a sorted subset
     keep their lexicographic order, so the tries, their order, the match and
     the ``max_combinations`` cut-off are those of a search over all m.
+
+    ``spec_verdicts`` maps each spec already judged to
+    ``evaluate_spec(spec).all_conditions_hold``, and the search adds every
+    spec it judges, so a caller that passes one dict to several searches
+    evaluates each distinct spec once.  By default each call starts empty.
+    The verdict depends on the spec alone, so the memo changes no try and
+    no result.
     """
     validate_cycle_in(g, c)
     m = c.length
     if m % 2:
         raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
     big_l = m // 2
+    if spec_verdicts is None:
+        spec_verdicts = {}
     candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
     ends = sorted({p for key in candidates for p in key})
     tried = 0
@@ -424,7 +437,10 @@ def find_chord_system(
                     arcs = tuple((subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n))
                     chords = tuple(len(p) - 1 for p in assignment)
                     spec = EmbeddedSpec(big_l, n, arcs, chords)
-                    if evaluate_spec(spec).all_conditions_hold:
+                    holds = spec_verdicts.get(spec)
+                    if holds is None:
+                        holds = spec_verdicts[spec] = evaluate_spec(spec).all_conditions_hold
+                    if holds:
                         match = ChordSystemMatch(
                             spec,
                             tuple(c.vertices[p] for p in subset),
@@ -469,6 +485,11 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     A graph with no even cycle yields no verdicts.  Any certified verdict
     means the graph is not geodetic.  ``limits.max_cycle_length`` caps the
     cycle scan; below the vertex count it may miss every even cycle.
+
+    The searches share one ``spec_verdicts`` memo, kept for this call only,
+    so each distinct spec tried on any cycle of ``g`` is evaluated once:
+    the 5,250 six-cycles of the Hoffman-Singleton graph try 21,000 specs
+    but only 3 distinct ones.
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
@@ -477,8 +498,9 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     if length is None:
         return Corollary4Report((), None, scanned, exhaustive)
     verdicts = []
+    spec_verdicts: dict[EmbeddedSpec, bool] = {}
     for c in cycles:
-        result = find_chord_system(g, c, limits)
+        result = find_chord_system(g, c, limits, spec_verdicts=spec_verdicts)
         certified = result.system is None and result.exhausted
         verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified))
     return Corollary4Report(tuple(verdicts), count_geodesics(g).k_value, scanned, exhaustive)

@@ -50,3 +50,26 @@ def seeded_samples(n: int, count: int, seed: int) -> tuple[Graph, ...]:
 def standard_corpus() -> tuple[Graph, ...]:
     exhaustive = tuple(g for n in range(1, 6) for g in all_connected_graphs(n))
     return exhaustive + seeded_samples(6, 60, seed=601) + seeded_samples(7, 40, seed=701)
+
+
+def hoffman_singleton_graph() -> Graph:
+    """The Hoffman-Singleton graph (50 vertices, 175 edges, girth 5,
+    diameter 2): pentagons ``P_h[i] = 5h + i`` with i ~ i+1, pentagrams
+    ``Q_j[i] = 25 + 5j + i`` with i ~ i+2, and ``P_h[i] ~ Q_j[(h*j + i) mod 5]``.
+    A Moore graph, so geodetic."""
+    edges = []
+    for h in range(5):
+        for i in range(5):
+            edges.append((5 * h + i, 5 * h + (i + 1) % 5))
+            edges.append((25 + 5 * h + i, 25 + 5 * h + (i + 2) % 5))
+            for j in range(5):
+                edges.append((5 * h + i, 25 + 5 * j + (h * j + i) % 5))
+    return from_edge_list(edges)
+
+
+def one_point_union(a: Graph, b: Graph) -> Graph:
+    """``a`` and ``b`` glued at one vertex: ``b``'s vertex 0 becomes ``a``'s
+    last vertex, and ``b``'s vertex v becomes ``v + a.vertex_count - 1``.
+    A graph is geodetic exactly when each of its blocks is."""
+    shift = a.vertex_count - 1
+    return from_edge_list([*a.edges(), *((u + shift, v + shift) for u, v in b.edges())])

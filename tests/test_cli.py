@@ -5,6 +5,7 @@ import json
 import pytest
 
 from geodetic import (
+    SearchLimits,
     build,
     complete_graph,
     cycle_graph,
@@ -15,7 +16,7 @@ from geodetic import (
     subdivided_k4,
     sweep_validate,
 )
-from geodetic.cli import main
+from geodetic.cli import build_parser, main
 
 H1_LINE = "L=3 n=2 arcs=1,2,2,1 chords=2,1"
 H2_LINE = "L=3 n=3 arcs=1,1,1,1,1,1 chords=2,2,2"
@@ -389,3 +390,46 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see the
+    options, defaults or failure of an earlier one."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_capped_lemma1_then_plain_lemma1(self, tmp_path, capsys):
+        path = graph_file(tmp_path, cycle_graph(8))
+        assert main(["lemma1", "--json", path, "--max-len", "6"]) == 0
+        assert report_of(capsys)["exhaustive"] is False
+        assert main(["lemma1", "--json", path]) == 1
+        report = report_of(capsys)
+        assert report["exhaustive"] is True
+        assert report["scanned_max_length"] == 8
+
+    def test_capped_cor4_then_plain_cor4(self, tmp_path, capsys, petersen):
+        path = graph_file(tmp_path, petersen)
+        assert main(["cor4", "--json", path, "--max-combos", "0"]) == 0
+        capped = report_of(capsys)["verdicts"]
+        assert len(capped) == 10
+        assert not any(v["search_exhausted"] for v in capped)
+        assert main(["cor4", "--json", path]) == 0
+        verdicts = report_of(capsys)["verdicts"]
+        assert len(verdicts) == 10
+        assert all(v["search_exhausted"] and v["chord_system"] for v in verdicts)
+        args = build_parser().parse_args(["cor4", path])
+        assert (args.max_combos, args.max_paths, args.max_cycle_len) == (
+            SearchLimits.max_combinations,
+            SearchLimits.max_paths_per_pair,
+            None,
+        )
+
+    def test_rejected_call_then_valid_call(self, tmp_path, capsys):
+        path = graph_file(tmp_path, cycle_graph(6))
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma1", path, "--max-len", "six"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["classify", "--json", path]) == 1
+        assert report_of(capsys)["k"] == 2

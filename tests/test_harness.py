@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import H1_SPEC, H2_SPEC
+from corpus import hoffman_singleton_graph, one_point_union, seeded_samples
 from geodetic import (
     CycleView,
     EmbeddedSpec,
@@ -17,6 +18,7 @@ from geodetic import (
     SearchLimits,
     SweepBounds,
     build,
+    complete_graph,
     corollary4_check,
     count_geodesics,
     cycle_graph,
@@ -24,9 +26,11 @@ from geodetic import (
     enumerate_specs,
     find_chord_system,
     finding_record,
+    lemma1_scan,
     minimal_even_cycles,
     parse_spec_line,
     path_graph,
+    petersen_graph,
     sweep_validate,
     theorem2_pair_property,
 )
@@ -417,6 +421,121 @@ class TestCorollary4Check:
 
         with pytest.raises(GraphError, match="connected"):
             corollary4_check(from_edge_list([(0, 1), (1, 2), (0, 2), (3, 4)]))
+
+
+def counting_evaluate(monkeypatch) -> Counter:
+    """Count ``evaluate_spec`` calls made by the chord-system search, per spec."""
+    from geodetic import harness
+
+    evaluated: Counter = Counter()
+    real_evaluate = harness.evaluate_spec
+
+    def counting(spec):
+        evaluated[spec] += 1
+        return real_evaluate(spec)
+
+    monkeypatch.setattr(harness, "evaluate_spec", counting)
+    return evaluated
+
+
+class TestSpecVerdictMemo:
+    """``corollary4_check`` judges each distinct spec once per run, and its
+    verdicts stay those of an independent search per cycle."""
+
+    def test_k9_evaluates_its_one_spec_once(self, monkeypatch):
+        evaluated = counting_evaluate(monkeypatch)
+        verdicts = corollary4_check(complete_graph(9)).verdicts
+        assert len(verdicts) == 378
+        assert all(v.match is not None for v in verdicts)
+        assert sum(evaluated.values()) == 1
+
+    @pytest.mark.parametrize(
+        "g",
+        [petersen_graph(), build(CERTIFY_SPEC).graph, *seeded_samples(10, 8, seed=1019)],
+        ids=["petersen", "certify-spec", *(f"random10-{i}" for i in range(8))],
+    )
+    def test_one_call_per_distinct_spec_tried(self, monkeypatch, g):
+        evaluated = counting_evaluate(monkeypatch)
+        for c in minimal_even_cycles(g, g.vertex_count)[1]:
+            find_chord_system(g, c)  # a fresh memo per search
+        tried = set(evaluated)
+        evaluated.clear()
+        corollary4_check(g)
+        assert set(evaluated) == tried
+        assert max(evaluated.values(), default=1) == 1
+
+    def test_memo_is_not_kept_between_runs(self, monkeypatch):
+        evaluated = counting_evaluate(monkeypatch)
+        corollary4_check(complete_graph(5))
+        corollary4_check(complete_graph(5))
+        assert sum(evaluated.values()) == 2
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(complete_graph(n) for n in range(5, 10)),
+            petersen_graph(),
+            build(CERTIFY_SPEC).graph,
+            *seeded_samples(9, 8, seed=919),
+            *seeded_samples(10, 8, seed=1019),
+            # Each block's 6-cycles carry a (3, 2) system; H1's meets both
+            # conditions and the boundary spec's fails condition 2, so one
+            # run judges specs of one shape both ways, in either order.
+            one_point_union(build(H1_SPEC).graph, build(BOUNDARY_SPEC).graph),
+            one_point_union(build(BOUNDARY_SPEC).graph, build(H1_SPEC).graph),
+        ],
+        ids=[
+            *(f"K{n}" for n in range(5, 10)),
+            "petersen",
+            "certify-spec",
+            *(f"random9-{i}" for i in range(8)),
+            *(f"random10-{i}" for i in range(8)),
+            "h1+boundary",
+            "boundary+h1",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "limits", [SearchLimits(), SearchLimits(max_combinations=3)], ids=["default", "combos3"]
+    )
+    def test_verdicts_match_brute_force_per_cycle(self, g, limits):
+        report = corollary4_check(g, limits)
+        expected = []
+        for c in minimal_even_cycles(g, g.vertex_count)[1]:
+            r = brute_find_chord_system(g, c, limits)
+            expected.append((c, r.system, r.exhausted, r.system is None and r.exhausted))
+        assert [
+            (v.cycle, v.match, v.search_exhausted, v.certified_nongeodetic)
+            for v in report.verdicts
+        ] == expected
+
+
+class TestHoffmanSingleton:
+    """The Hoffman-Singleton graph: a Moore graph of diameter 2 and girth 5,
+    so geodetic, whose 5,250 minimal even cycles all have length 6."""
+
+    @pytest.fixture(scope="class")
+    def hs(self):
+        return hoffman_singleton_graph()
+
+    def test_shape_and_class(self, hs):
+        assert (hs.vertex_count, hs.edge_count) == (50, 175)
+        assert all(len(hs.adjacency[v]) == 7 for v in hs.vertices())
+        assert count_geodesics(hs).k_value == 1
+
+    def test_lemma1_finds_no_witness(self, hs):
+        verdict = lemma1_scan(hs)
+        assert verdict.exhaustive
+        assert verdict.witness is None
+
+    def test_cor4_matches_every_cycle_and_evaluates_three_specs(self, hs, monkeypatch):
+        evaluated = counting_evaluate(monkeypatch)
+        report = corollary4_check(hs)
+        assert len(report.verdicts) == 5250
+        assert all(v.cycle.length == 6 for v in report.verdicts)
+        assert all(v.match is not None and v.search_exhausted for v in report.verdicts)
+        assert not any(v.certified_nongeodetic for v in report.verdicts)
+        assert report.oracle_k == 1 and report.exhaustive
+        assert sum(evaluated.values()) == len(evaluated) == 3
 
 
 class TestSweepValidate:
