@@ -162,8 +162,10 @@ def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[in
 
     Breadth-first, one level at a time: a vertex first reached at level d
     accumulates the path counts of all its level d-1 neighbours.  This is
-    the package's one breadth-first search; every distance and geodesic
-    count is read off its rows.
+    the package's one breadth-first search over a whole graph; every
+    distance and geodesic count is read off its rows, apart from
+    ``geodesics.count_geodesics``, which searches the kernel and chains of
+    a 2-core with a level loop of its own.
     """
     adjacency = g.adjacency
     dist: list[int | None] = [None] * g.vertex_count

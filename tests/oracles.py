@@ -8,7 +8,10 @@ evaluating every chord tuple, or at larger L from solving condition 2 on
 every arc composition, never from the composition bijection, and chord
 systems from trying every 2n-subset of a cycle's positions.  Agreement
 between these and the fast implementations is therefore meaningful
-evidence.
+evidence.  The one exception is ``bfs_count_geodesics``, a plain BFS from
+every vertex without the 2-core and chain reductions of
+``count_geodesics``; it referees them on graphs too large for path
+enumeration.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from geodetic.harness import (
     _finding,
     compositions,
 )
+from geodetic.geodesics import GeodesicProfile
+from geodetic.graphs import _bfs_counts
 
 
 def brute_shortest_paths(g: Graph, u: int, v: int) -> tuple[int | None, list[tuple[int, ...]]]:
@@ -78,6 +83,25 @@ def brute_profile(g: Graph) -> dict[tuple[int, int], tuple[int | None, int]]:
             d, paths = brute_shortest_paths(g, u, v)
             table[(u, v)] = (d, len(paths))
     return table
+
+
+def bfs_count_geodesics(g: Graph) -> GeodesicProfile:
+    """``count_geodesics`` by one unbounded BFS from every vertex, keeping
+    only the running maximum: no 2-core, no chains.  Raises GraphError on
+    the empty graph or when some pair is unreachable."""
+    n = g.vertex_count
+    if n == 0:
+        raise GraphError("cannot profile the empty graph")
+    k_value, witness, witness_distance = 1, (0, 0), 0
+    for u in range(n):
+        dist, sigma = _bfs_counts(g, u, n)
+        if None in dist:
+            raise GraphError(f"graph is disconnected: no path between {u} and {dist.index(None)}")
+        top = max(sigma[u + 1 :], default=0)
+        if top > k_value:
+            v = sigma.index(top, u + 1)
+            k_value, witness, witness_distance = top, (u, v), dist[v]
+    return GeodesicProfile(n, k_value, witness, witness_distance)  # type: ignore[arg-type]
 
 
 def brute_k(g: Graph) -> tuple[int, tuple[int, int]]:

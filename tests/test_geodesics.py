@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -15,10 +16,14 @@ from geodetic import (
     enumerate_geodesics,
     from_edge_list,
     is_connected,
+    path_graph,
     petersen_graph,
+    subdivided_k4,
 )
+from geodetic.geodesics import _row_maxima
 from conftest import engine_rows
-from oracles import brute_k, brute_shortest_paths
+from corpus import hoffman_singleton_graph, one_point_union, seeded_samples, standard_corpus
+from oracles import bfs_count_geodesics, brute_k, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, min_size=1, max_size=18)
@@ -100,6 +105,154 @@ class TestCountGeodesics:
         p = count_geodesics(g)
         assert (p.k_value, p.witness_pair) == brute_k(g)
         assert p.witness_distance == dist[p.witness_pair[0]][p.witness_pair[1]]
+
+
+def _relabel(rng: random.Random, g):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _with_trees(rng: random.Random, g, count: int):
+    """``g`` with ``count`` new vertices, each hung from an earlier vertex."""
+    n = g.vertex_count
+    return from_edge_list([*g.edges(), *((rng.randrange(v), v) for v in range(n, n + count))])
+
+
+def _joined(first_new: int, ends):
+    """Each ``(u, v, length)`` of ``ends`` joined by a path of ``length``
+    edges, with new inner vertices numbered from ``first_new``."""
+    edges = []
+    for u, v, length in ends:
+        prev = u
+        for _ in range(length - 1):
+            edges.append((prev, first_new))
+            prev, first_new = first_new, first_new + 1
+        edges.append((prev, v))
+    return from_edge_list(edges)
+
+
+def _grid(rows: int, cols: int):
+    return from_edge_list(
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    )
+
+
+def _sparse(rng: random.Random, n: int):
+    """A random recursive tree on n vertices plus up to n/4 random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = len(edges) + rng.randint(0, n // 4)
+    while len(edges) < target:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edge_list(sorted(edges))
+
+
+def _random_trees(rng: random.Random):
+    return [from_edge_list([(rng.randrange(v), v) for v in range(1, n)]) for n in range(2, 40)]
+
+
+def _cycles_with_trees(rng: random.Random):
+    return [
+        _relabel(rng, _with_trees(rng, cycle_graph(n), rng.randint(1, 2 * n)))
+        for n in range(3, 30)
+        for _ in range(3)
+    ]
+
+
+def _subdivided_bases(rng: random.Random):
+    """Random bases with each edge made a chain of length 1 to 5, theta
+    graphs (parallel chains between 0 and 1) and K4 subdivisions."""
+    bases = [g for n in range(2, 8) for g in seeded_samples(n, 12, seed=900 + n)]
+    graphs = [
+        _joined(g.vertex_count, [(u, v, rng.randint(1, 5)) for u, v in g.edges()]) for g in bases
+    ]
+    graphs += [_relabel(rng, _with_trees(rng, g, rng.randint(0, 6))) for g in graphs]
+    graphs += [_joined(2, [(0, 1, length) for length in lengths]) for lengths in (
+        (3, 3, 3), (4, 4, 4), (4, 4, 6), (5, 5), (5, 5, 5, 5), (3, 5, 7), (2, 4, 4), (6, 6, 2),
+    )]
+    return graphs + [
+        subdivided_k4(tuple(rng.randint(1, 5) for _ in range(6))) for _ in range(30)
+    ]
+
+
+def _loop_chains(rng: random.Random):
+    return [
+        one_point_union(cycle_graph(a), cycle_graph(b)) for a in range(3, 10) for b in range(3, 10)
+    ] + [one_point_union(complete_graph(4), cycle_graph(m)) for m in range(3, 12)]
+
+
+REFEREE_FAMILIES = {
+    "standard corpus and Hoffman-Singleton": lambda rng: [
+        *standard_corpus(),
+        hoffman_singleton_graph(),
+    ],
+    "C3 to C40": lambda rng: [cycle_graph(n) for n in range(3, 41)],
+    "paths and random trees": lambda rng: [path_graph(n) for n in range(2, 30)]
+    + _random_trees(rng),
+    "relabelled cycles with pendant trees": _cycles_with_trees,
+    "subdivided bases and theta graphs": _subdivided_bases,
+    "loop chains at a branch vertex": _loop_chains,
+    "sparse graphs of 50 to 250 vertices": lambda rng: [
+        _sparse(rng, rng.randint(50, 250)) for _ in range(60)
+    ],
+    "C400, C401 and a 15x15 grid": lambda rng: [cycle_graph(400), cycle_graph(401), _grid(15, 15)],
+}
+
+
+class TestAgainstBfsReferee:
+    """``count_geodesics`` searches the 2-core and crosses chains in one
+    step; the referee runs a plain BFS from every vertex.  Besides the
+    profile, every vertex's row maximum is compared, since the profile
+    alone shows only the row maxima that reach K first."""
+
+    @pytest.mark.parametrize("family", sorted(REFEREE_FAMILIES))
+    def test_matches_referee(self, family):
+        for g in REFEREE_FAMILIES[family](random.Random(family)):
+            assert count_geodesics(g) == bfs_count_geodesics(g), g.edges()
+            if g.vertex_count <= 250:
+                _, count = engine_rows(g)
+                assert _row_maxima(g) == [max(row) for row in count], g.edges()
+
+    def test_pendant_edges_on_a_four_cycle(self):
+        # The 4-cycle 2-3-4-5 with 0 hung from 2 and 1 from 4: the pair
+        # (0, 1) has two geodesics, one around each side of the cycle.
+        g = from_edge_list([(2, 3), (3, 4), (4, 5), (5, 2), (0, 2), (1, 4)])
+        p = count_geodesics(g)
+        assert (p.k_value, p.witness_pair, p.witness_distance) == (2, (0, 1), 4)
+
+    def test_two_odd_cycles_at_one_vertex(self):
+        p = count_geodesics(one_point_union(cycle_graph(7), cycle_graph(9)))
+        assert (p.k_value, p.witness_pair, p.witness_distance) == (1, (0, 0), 0)
+
+    @pytest.mark.parametrize("g", [
+        from_edge_list([(0, 1), (1, 2), (1, 3), (3, 4)]),
+        from_edge_list([], vertex_count=1),
+    ], ids=["tree", "single vertex"])
+    def test_tree_is_geodetic(self, g):
+        p = count_geodesics(g)
+        assert (p.k_value, p.witness_pair, p.witness_distance) == (1, (0, 0), 0)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], "no path between 0 and 3"),
+        ([(0, 1), (1, 2), (2, 0), (3, 4)], "no path between 0 and 3"),
+        ([(0, 3), (1, 2), (2, 4), (4, 1)], "no path between 0 and 1"),
+        ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], "no path between 0 and 3"),
+    ], ids=["tree and cycle", "cycle and tree", "edge and cycle", "two cycles"])
+    def test_disconnected_message_names_vertex_zero(self, edges, message):
+        g = from_edge_list(edges)
+        with pytest.raises(GraphError) as want:
+            bfs_count_geodesics(g)
+        with pytest.raises(GraphError) as got:
+            count_geodesics(g)
+        assert str(got.value) == str(want.value) == f"graph is disconnected: {message}"
+
+    def test_long_even_cycle(self):
+        # One chain of 19,999 vertices; a search that walks it vertex by
+        # vertex from every source takes minutes.
+        p = count_geodesics(cycle_graph(20000))
+        assert (p.k_value, p.witness_pair, p.witness_distance) == (2, (0, 10000), 10000)
 
 
 class TestClassifyK:
