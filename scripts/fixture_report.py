@@ -1,6 +1,7 @@
 """Walk the named fixture graphs and print, for each: its class by
-shortest-path multiplicity, the even-cycle witness scan, and the
-chord-system certification outcome.
+shortest-path multiplicity, the even-cycle witness scan, the
+chord-system certification outcome, and the distinct chord systems matched
+on its minimal even cycles.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -36,11 +37,13 @@ FIXTURES = [
     ("C8 with a unit chord", cycle_with_chord(8, 0, 4)),
     ("Petersen graph", petersen_graph()),
     ("K4 subdivision with one even triangle", subdivided_k4((2, 1, 1, 1, 1, 1))),
+    ("C22 with a chord of length 8", cycle_with_chord(22, 0, 9, chord_length=8)),
 ]
 
 EMBEDDED = [
     EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 1)),
     EmbeddedSpec(3, 3, (1, 1, 1, 1, 1, 1), (2, 2, 2)),
+    EmbeddedSpec(8, 4, (2, 1, 4, 2, 1, 4, 1, 1), (6, 7, 4, 7)),
 ]
 
 
@@ -78,6 +81,8 @@ def describe(name: str, g) -> None:
             f"  certification: none ({matched} of {len(verdicts)} minimal even "
             f"cycles carry a chord system)"
         )
+    for line in sorted({format_spec_line(v.match.spec) for v in verdicts if v.match}):
+        print(f"    matched {line}")
 
 
 def main() -> int:

@@ -56,7 +56,6 @@ from .harness import (
 )
 from .homeomorph import (
     decompose_segments,
-    is_homeomorphic_to_k4,
     theorem1_check,
 )
 from .reports import (
@@ -98,7 +97,6 @@ __all__ = [
     "format_spec_line",
     "from_edge_list",
     "is_connected",
-    "is_homeomorphic_to_k4",
     "iter_findings",
     "lemma1_scan",
     "load_report",

@@ -36,9 +36,9 @@ from .homeomorph import theorem1_check
 OK, WITNESS, USAGE = 0, 1, 2
 
 
-def _emit(args: argparse.Namespace, command: str, payload: dict, text: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text: list[str]) -> None:
     if args.json:
-        print(reports.dump_report(reports.make_report(command, payload)))
+        print(reports.dump_report(reports.make_report(args.command, payload)))
     else:
         for line in text:
             print(line)
@@ -69,7 +69,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             text.append("  " + " - ".join(str(x) for x in p))
         if sample.truncated:
             text.append("  ...")
-    _emit(args, "classify", payload, text)
+    _emit(args, payload, text)
     return OK if cls.k == 1 else WITNESS
 
 
@@ -90,14 +90,14 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
             f"opposite pair ({u}, {v}) realises distance {c.length // 2}, so both "
             "arcs are geodesics; the graph is not geodetic",
         ]
-        _emit(args, "lemma1", payload, text)
+        _emit(args, payload, text)
         return WITNESS
     scope = (
         "scan exhaustive"
         if verdict.exhaustive
         else f"scanned cycles up to length {verdict.scanned_max_length} only"
     )
-    _emit(args, "lemma1", payload, [f"no witness cycle ({scope})"])
+    _emit(args, payload, [f"no witness cycle ({scope})"])
     return OK
 
 
@@ -122,7 +122,6 @@ def _cmd_build_embedded(args: argparse.Namespace) -> int:
         Path(args.output).write_text(edge_text)
         _emit(
             args,
-            "build-embedded",
             payload,
             [
                 f"wrote {h.graph.vertex_count} vertices / {h.graph.edge_count} edges "
@@ -130,7 +129,7 @@ def _cmd_build_embedded(args: argparse.Namespace) -> int:
             ],
         )
     else:
-        _emit(args, "build-embedded", payload, [edge_text.rstrip("\n")])
+        _emit(args, payload, [edge_text.rstrip("\n")])
     return OK
 
 
@@ -197,7 +196,7 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
         text.append(f"predicted class: {predicted.label} ({bound})")
     else:
         text.append("no class prediction (checks failed)")
-    _emit(args, "check-embedded", payload, text)
+    _emit(args, payload, text)
     return OK if report.all_conditions_hold else WITNESS
 
 
@@ -212,7 +211,7 @@ def _cmd_k4_check(args: argparse.Namespace) -> int:
         "verdict_geodetic": report.verdict_geodetic,
     }
     if not report.is_k4_homeomorph:
-        _emit(args, "k4-check", payload, ["not homeomorphic to K4; test does not apply"])
+        _emit(args, payload, ["not homeomorphic to K4; test does not apply"])
         return WITNESS
     text = [
         "homeomorphic to K4",
@@ -222,7 +221,7 @@ def _cmd_k4_check(args: argparse.Namespace) -> int:
         f"{'ok' if report.four_segment_cycles_equal else 'FAIL'}",
         f"verdict: {'geodetic' if report.verdict_geodetic else 'not geodetic'}",
     ]
-    _emit(args, "k4-check", payload, text)
+    _emit(args, payload, text)
     return OK if report.verdict_geodetic else WITNESS
 
 
@@ -273,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"total: {total} specs, {inconsistent} inconsistent"
         + (f", findings written to {args.output}" if args.output else "")
     )
-    _emit(args, "sweep", payload, text)
+    _emit(args, payload, text)
     return OK if inconsistent == 0 else WITNESS
 
 
@@ -324,7 +323,7 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
         text.append("certified: the graph is not geodetic")
     else:
         text.append("no certification")
-    _emit(args, "cor4", payload, text)
+    _emit(args, payload, text)
     return WITNESS if certified else OK
 
 

@@ -129,7 +129,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph, *, header: str | None = None) -> str:
-    """Render a graph in the edge-list text format (round-trips with parse)."""
+    """Render a graph in the edge-list text format, one line per edge.
+
+    ``parse_edge_list`` gives the graph back when its highest vertex lies on
+    an edge (or it has no vertex).  The text names no vertex count, so
+    trailing isolated vertices are lost: ``path_graph(1)`` comes back with
+    no vertex.
+    """
     lines = [] if header is None else [f"# {line}" for line in header.splitlines()]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

@@ -378,11 +378,7 @@ def _candidate_chords(
 
 
 def find_chord_system(
-    g: Graph,
-    c: CycleView,
-    limits: SearchLimits = SearchLimits(),
-    *,
-    spec_verdicts: dict[EmbeddedSpec, bool] | None = None,
+    g: Graph, c: CycleView, limits: SearchLimits = SearchLimits()
 ) -> ChordSystemSearch:
     """Search ``g`` for an interleaved chord system on the even cycle ``c``.
 
@@ -396,20 +392,19 @@ def find_chord_system(
     keep their lexicographic order, so the tries, their order, the match and
     the ``max_combinations`` cut-off are those of a search over all m.
 
-    ``spec_verdicts`` maps each spec already judged to
-    ``evaluate_spec(spec).all_conditions_hold``, and the search adds every
-    spec it judges, so a caller that passes one dict to several searches
-    evaluates each distinct spec once.  By default each call starts empty.
-    The verdict depends on the spec alone, so the memo changes no try and
-    no result.
+    Each assignment is judged by the two cycle conditions alone, which
+    gives ``evaluate_spec(spec).all_conditions_hold``: every candidate chord
+    is shorter than both arcs, so the system is chord-valid; n, the arcs'
+    positivity and their sum 2L hold by construction; and odd chord-plus-arc
+    cycles and neighbouring-chord cycles of length 2L are never even and
+    shorter than 2L, so the system is embedded.  Only a match is built as
+    an ``EmbeddedSpec``.
     """
     validate_cycle_in(g, c)
     m = c.length
     if m % 2:
         raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
     big_l = m // 2
-    if spec_verdicts is None:
-        spec_verdicts = {}
     candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
     ends = sorted({p for key in candidates for p in key})
     tried = 0
@@ -423,26 +418,23 @@ def find_chord_system(
                     break
                 pools.append(pool)
             else:
+                arcs = tuple((subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n))
                 for assignment in product(*pools):
                     tried += 1
                     if tried > limits.max_combinations:
                         return ChordSystemSearch(None, False, tried - 1)
-                    vsets = [frozenset(p) for p in assignment]
-                    if any(
-                        vsets[i] & vsets[j]
-                        for i in range(n)
-                        for j in range(i + 1, n)
-                    ):
-                        continue
-                    arcs = tuple((subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n))
+                    if len(set().union(*assignment)) != sum(map(len, assignment)):
+                        continue  # two chords share a vertex
                     chords = tuple(len(p) - 1 for p in assignment)
-                    spec = EmbeddedSpec(big_l, n, arcs, chords)
-                    holds = spec_verdicts.get(spec)
-                    if holds is None:
-                        holds = spec_verdicts[spec] = evaluate_spec(spec).all_conditions_hold
-                    if holds:
+                    # Condition 1: chord i closes an odd cycle with either arc.
+                    # Condition 2: chords i and i+1 close a cycle of length 2L.
+                    if all(
+                        (chords[i] + subset[n + i] - subset[i]) % 2
+                        and arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] == m
+                        for i in range(n)
+                    ):
                         match = ChordSystemMatch(
-                            spec,
+                            EmbeddedSpec(big_l, n, arcs, chords),
                             tuple(c.vertices[p] for p in subset),
                             tuple(assignment),
                         )
@@ -485,11 +477,6 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     A graph with no even cycle yields no verdicts.  Any certified verdict
     means the graph is not geodetic.  ``limits.max_cycle_length`` caps the
     cycle scan; below the vertex count it may miss every even cycle.
-
-    The searches share one ``spec_verdicts`` memo, kept for this call only,
-    so each distinct spec tried on any cycle of ``g`` is evaluated once:
-    the 5,250 six-cycles of the Hoffman-Singleton graph try 21,000 specs
-    but only 3 distinct ones.
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
@@ -498,9 +485,8 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     if length is None:
         return Corollary4Report((), None, scanned, exhaustive)
     verdicts = []
-    spec_verdicts: dict[EmbeddedSpec, bool] = {}
     for c in cycles:
-        result = find_chord_system(g, c, limits, spec_verdicts=spec_verdicts)
+        result = find_chord_system(g, c, limits)
         certified = result.system is None and result.exhausted
         verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified))
     return Corollary4Report(tuple(verdicts), count_geodesics(g).k_value, scanned, exhaustive)

@@ -71,12 +71,6 @@ def _k4_segments(g: Graph) -> SegmentDecomposition | None:
     return dec
 
 
-def is_homeomorphic_to_k4(g: Graph) -> bool:
-    """True for subdivisions of K4: four degree-3 nodes, six segments,
-    one segment per node pair, no segment looping back to its own node."""
-    return _k4_segments(g) is not None
-
-
 @dataclass(frozen=True)
 class Theorem1Report:
     """The three conditions and their conjunction; all None when the graph

@@ -13,6 +13,7 @@ from geodetic import (
     from_edge_list,
     is_connected,
     parse_edge_list,
+    path_graph,
     petersen_graph,
 )
 from geodetic.graphs import _bfs_counts, load_edge_list
@@ -120,7 +121,7 @@ class TestEdgeListFormat:
         path.write_text("# nothing\n")
         with pytest.raises(GraphError, match="no edge lines"):
             load_edge_list(path)
-        # Parsing text keeps isolated vertices, so any graph round-trips.
+        # Parsing text keeps isolated vertices below the highest id.
         assert parse_edge_list("0 2\n").vertex_count == 3
 
     def test_header_lines_become_comments(self):
@@ -131,6 +132,13 @@ class TestEdgeListFormat:
     def test_petersen_round_trip(self):
         g = petersen_graph()
         assert parse_edge_list(format_edge_list(g)).adjacency == g.adjacency
+
+    def test_trailing_isolated_vertices_are_lost(self):
+        # The text names no vertex count, so parsing stops at the highest
+        # vertex on an edge.
+        g = from_edge_list([(0, 1)], vertex_count=3)
+        assert parse_edge_list(format_edge_list(g)).vertex_count == 2
+        assert parse_edge_list(format_edge_list(path_graph(1))).vertex_count == 0
 
     @given(edge_lists)
     def test_round_trip_random(self, edges):

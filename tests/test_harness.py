@@ -36,6 +36,7 @@ from geodetic import (
 )
 from geodetic.harness import _orbit_key, compositions
 from oracles import (
+    brute_cycles,
     brute_enumerate_specs,
     brute_find_chord_system,
     brute_sweep_validate,
@@ -289,13 +290,18 @@ SEARCH_LIMITS = (
 )
 
 
-def searches_match_brute_force(graphs):
+def searches_match_brute_force(graphs, every_even_cycle=False):
     """Run both chord-system searches on every minimal even cycle of every
-    graph under every limit setting, assert equal results (system,
-    exhausted, combinations_tried) and return them."""
+    graph, or on every even cycle with ``every_even_cycle``, under every
+    limit setting, assert equal results (system, exhausted,
+    combinations_tried) and return them."""
     results = []
     for g in graphs:
-        for c in minimal_even_cycles(g, max(g.vertex_count, 4))[1]:
+        if every_even_cycle:
+            cycles = [CycleView(seq) for seq in sorted(brute_cycles(g)) if len(seq) % 2 == 0]
+        else:
+            cycles = minimal_even_cycles(g, max(g.vertex_count, 4))[1]
+        for c in cycles:
             for limits in SEARCH_LIMITS:
                 result = find_chord_system(g, c, limits)
                 assert result == brute_find_chord_system(g, c, limits), (g.edges(), c, limits)
@@ -327,6 +333,17 @@ class TestFindChordSystemMatchesBruteForce:
         graphs = [build(report.spec).graph for report in enumerate_specs(SweepBounds(5))]
         assert len(graphs) == 73
         searches_match_brute_force(graphs)
+
+    def test_every_even_cycle(self, corpus, petersen):
+        # A minimal even cycle carries no chord-plus-arc cycle of even
+        # length, so only longer cycles, such as Petersen's 8-cycle
+        # 0 4 3 2 1 6 8 5, try systems that fail condition 1.
+        graphs = [*corpus, petersen, *seeded_samples(8, 6, seed=802)]
+        results = searches_match_brute_force(graphs, every_even_cycle=True)
+        eight = CycleView.from_sequence((0, 4, 3, 2, 1, 6, 8, 5))
+        assert find_chord_system(petersen, eight).system is None
+        assert any(r.system is not None for r in results)
+        assert any(r.system is None and r.exhausted and r.combinations_tried for r in results)
 
 
 class TestCorollary4Check:
@@ -423,52 +440,9 @@ class TestCorollary4Check:
             corollary4_check(from_edge_list([(0, 1), (1, 2), (0, 2), (3, 4)]))
 
 
-def counting_evaluate(monkeypatch) -> Counter:
-    """Count ``evaluate_spec`` calls made by the chord-system search, per spec."""
-    from geodetic import harness
-
-    evaluated: Counter = Counter()
-    real_evaluate = harness.evaluate_spec
-
-    def counting(spec):
-        evaluated[spec] += 1
-        return real_evaluate(spec)
-
-    monkeypatch.setattr(harness, "evaluate_spec", counting)
-    return evaluated
-
-
 class TestSpecVerdictMemo:
-    """``corollary4_check`` judges each distinct spec once per run, and its
-    verdicts stay those of an independent search per cycle."""
-
-    def test_k9_evaluates_its_one_spec_once(self, monkeypatch):
-        evaluated = counting_evaluate(monkeypatch)
-        verdicts = corollary4_check(complete_graph(9)).verdicts
-        assert len(verdicts) == 378
-        assert all(v.match is not None for v in verdicts)
-        assert sum(evaluated.values()) == 1
-
-    @pytest.mark.parametrize(
-        "g",
-        [petersen_graph(), build(CERTIFY_SPEC).graph, *seeded_samples(10, 8, seed=1019)],
-        ids=["petersen", "certify-spec", *(f"random10-{i}" for i in range(8))],
-    )
-    def test_one_call_per_distinct_spec_tried(self, monkeypatch, g):
-        evaluated = counting_evaluate(monkeypatch)
-        for c in minimal_even_cycles(g, g.vertex_count)[1]:
-            find_chord_system(g, c)  # a fresh memo per search
-        tried = set(evaluated)
-        evaluated.clear()
-        corollary4_check(g)
-        assert set(evaluated) == tried
-        assert max(evaluated.values(), default=1) == 1
-
-    def test_memo_is_not_kept_between_runs(self, monkeypatch):
-        evaluated = counting_evaluate(monkeypatch)
-        corollary4_check(complete_graph(5))
-        corollary4_check(complete_graph(5))
-        assert sum(evaluated.values()) == 2
+    """``corollary4_check`` gives, cycle by cycle, the verdicts of an
+    independent brute-force search on each minimal even cycle."""
 
     @pytest.mark.parametrize(
         "g",
@@ -527,15 +501,13 @@ class TestHoffmanSingleton:
         assert verdict.exhaustive
         assert verdict.witness is None
 
-    def test_cor4_matches_every_cycle_and_evaluates_three_specs(self, hs, monkeypatch):
-        evaluated = counting_evaluate(monkeypatch)
+    def test_cor4_matches_every_cycle(self, hs):
         report = corollary4_check(hs)
         assert len(report.verdicts) == 5250
         assert all(v.cycle.length == 6 for v in report.verdicts)
         assert all(v.match is not None and v.search_exhausted for v in report.verdicts)
         assert not any(v.certified_nongeodetic for v in report.verdicts)
         assert report.oracle_k == 1 and report.exhaustive
-        assert sum(evaluated.values()) == len(evaluated) == 3
 
 
 class TestSweepValidate:

@@ -11,7 +11,6 @@ from geodetic import (
     cycle_with_chord,
     decompose_segments,
     from_edge_list,
-    is_homeomorphic_to_k4,
     subdivided_k4,
     theorem1_check,
 )
@@ -60,16 +59,16 @@ class TestDecomposeSegments:
 
 class TestIsHomeomorphicToK4:
     def test_positives(self, h1):
-        assert is_homeomorphic_to_k4(complete_graph(4))
-        assert is_homeomorphic_to_k4(h1.graph)
-        assert is_homeomorphic_to_k4(subdivided_k4((3, 1, 2, 1, 1, 2)))
+        assert theorem1_check(complete_graph(4)).is_k4_homeomorph
+        assert theorem1_check(h1.graph).is_k4_homeomorph
+        assert theorem1_check(subdivided_k4((3, 1, 2, 1, 1, 2))).is_k4_homeomorph
 
     def test_negatives(self, h2, petersen, c8_chord):
-        assert not is_homeomorphic_to_k4(h2.graph)
-        assert not is_homeomorphic_to_k4(petersen)
-        assert not is_homeomorphic_to_k4(c8_chord)
-        assert not is_homeomorphic_to_k4(cycle_graph(6))
-        assert not is_homeomorphic_to_k4(complete_graph(5))
+        assert not theorem1_check(h2.graph).is_k4_homeomorph
+        assert not theorem1_check(petersen).is_k4_homeomorph
+        assert not theorem1_check(c8_chord).is_k4_homeomorph
+        assert not theorem1_check(cycle_graph(6)).is_k4_homeomorph
+        assert not theorem1_check(complete_graph(5)).is_k4_homeomorph
 
 
 class TestCycleTemplates:
