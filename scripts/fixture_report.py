@@ -1,7 +1,7 @@
 """Walk the named fixture graphs and print, for each: its class by
 shortest-path multiplicity, the even-cycle witness scan, the
-chord-system certification outcome, and the distinct chord systems matched
-on its minimal even cycles.
+chord-system certification outcome, the distinct chord systems matched
+on its minimal even cycles, and the K4-subdivision test's verdict.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -24,9 +24,11 @@ from geodetic import (
     cycle_graph,
     cycle_with_chord,
     format_spec_line,
+    from_edge_list,
     lemma1_scan,
     petersen_graph,
     subdivided_k4,
+    theorem1_check,
 )
 
 FIXTURES = [
@@ -38,6 +40,17 @@ FIXTURES = [
     ("Petersen graph", petersen_graph()),
     ("K4 subdivision with one even triangle", subdivided_k4((2, 1, 1, 1, 1, 1))),
     ("C22 with a chord of length 8", cycle_with_chord(22, 0, 9, chord_length=8)),
+    (
+        "theta graph of three length-3 paths",
+        from_edge_list([(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7), (7, 1)]),
+    ),
+    (
+        "C10 carrying pendant trees",
+        from_edge_list(
+            [(i, (i + 1) % 10) for i in range(10)]
+            + [(0, 10), (10, 11), (10, 12), (4, 13), (13, 14), (14, 15), (7, 16)]
+        ),
+    ),
 ]
 
 EMBEDDED = [
@@ -83,6 +96,12 @@ def describe(name: str, g) -> None:
         )
     for line in sorted({format_spec_line(v.match.spec) for v in verdicts if v.match}):
         print(f"    matched {line}")
+
+    k4 = theorem1_check(g)
+    if not k4.is_k4_homeomorph:
+        print("  K4 test: not a K4 subdivision")
+    else:
+        print(f"  K4 test: {'geodetic' if k4.verdict_geodetic else 'not geodetic'}")
 
 
 def main() -> int:

@@ -203,13 +203,7 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
 def _cmd_k4_check(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph)
     report = theorem1_check(g)
-    payload = {
-        "is_k4_homeomorph": report.is_k4_homeomorph,
-        "segments_are_geodesics": report.segments_are_geodesics,
-        "three_segment_cycles_odd": report.three_segment_cycles_odd,
-        "four_segment_cycles_equal": report.four_segment_cycles_equal,
-        "verdict_geodetic": report.verdict_geodetic,
-    }
+    payload = vars(report)
     if not report.is_k4_homeomorph:
         _emit(args, payload, ["not homeomorphic to K4; test does not apply"])
         return WITNESS
@@ -321,8 +315,13 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
             text.append(head + "no chord system found, but search hit a cap (inconclusive)")
     if certified:
         text.append("certified: the graph is not geodetic")
-    else:
+    elif report.oracle_k is None:
         text.append("no certification")
+    else:
+        text.append(
+            f"no certification (oracle K={report.oracle_k}): cor4 checks only minimal "
+            "even cycles, so this is not a verdict that the graph is geodetic"
+        )
     _emit(args, payload, text)
     return WITNESS if certified else OK
 

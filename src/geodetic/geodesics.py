@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, _bfs_counts
+from .graphs import Graph, GraphError, _bfs_counts, _chains
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,16 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
     raises the row maximum only by that meeting value, when d_b + L - d_a
     is even and strictly between 0 and 2L.
 
-    Search: level by level over the direct kernel edges, as
-    ``graphs._bfs_counts`` does over all edges; a vertex settled at level d
-    sends an arrival through each chain to level d + L, settled when that
-    level comes up.  A source inside a chain starts from its two ends, at
-    distances j and L - j, and the two halves of its own chain are chains
-    with the source as one end.  Chains are crossed only when they hold
-    more core vertices than the kernel; otherwise each source runs
-    ``_bfs_counts`` on the whole core, as on a grid or a complete graph.
+    Search: ``graphs._chains`` walks each chain once, and the kernel
+    becomes one weighted graph in which a direct edge is a chain of length
+    1.  Each source searches it with a bucket queue, settling levels in
+    increasing order; every length is at least 1, so a vertex's count is
+    final when its level comes up.  A source inside a chain reaches its
+    two ends at distances j and L - j, and the two halves of its own chain
+    are chains with the source as one end.  Chains are crossed only when
+    they hold more core vertices than the kernel; otherwise each source
+    runs ``_bfs_counts`` on the whole core, as on a grid or a complete
+    graph.
 
     Witness: u is the least vertex whose row maximum (its root's, for a
     tree vertex) is K.  Any vertex reaching K with u is larger, so (u, v)
@@ -189,121 +191,81 @@ def _chain_row_maxima(
     index = [-1] * len(core_nbrs)
     for i, v in enumerate(kernel):
         index[v] = i
-    chains = []  # (a, b, interior vertices from a to b), a and b kernel indices
-    covered = len(kernel)
-    for a in kernel:
-        for w in core_nbrs[a]:
-            if index[w] != -1:
-                continue
-            prev, cur, interior = a, w, []
-            while index[cur] == -1:
-                index[cur] = -2
-                interior.append(cur)
-                x, y = core_nbrs[cur]
-                prev, cur = cur, (y if x == prev else x)
-            chains.append((index[a], index[cur], interior))
-            covered += len(interior)
+    size = len(kernel)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in kernel]
+    chains = []  # (a, b, L, inner vertices from a to b), a and b kernel indices
+    covered = size
+    for a, b, inner in _chains(core_nbrs, kernel):
+        a, b, length = index[a], index[b], len(inner) + 1
+        if a != b:  # a loop chain never shortens a path
+            nbrs[a].append((b, length))
+            nbrs[b].append((a, length))
+        if inner:
+            chains.append((a, b, length, inner))
+            covered += len(inner)
     if covered != core_size:
         raise _disconnected(g)
-    size = len(kernel)
-    kernel_nbrs = [tuple([index[w] for w in core_nbrs[v] if index[w] >= 0]) for v in kernel]
-    chain_ends: list[tuple[tuple[int, int], ...]] = [()] * size
-    ends = [(a, b, len(interior) + 1) for a, b, interior in chains]
-    for a, b, length in ends:
-        if a != b:  # a loop chain never shortens a path
-            chain_ends[a] += ((b, length),)
-            chain_ends[b] += ((a, length),)
+    ends = [chain[:3] for chain in chains]
     for i, v in enumerate(kernel):
-        dist, sigma = _kernel_search(kernel_nbrs, chain_ends, ((i, 0),))
+        dist, sigma = _kernel_search(nbrs, ((i, 0),))
         if not i and None in dist:
             raise _disconnected(g)
         row_max[v] = _meeting_max(dist, sigma, ends, max(sigma))
-    for c, (a, b, interior) in enumerate(chains):
+    for c, (a, b, length, inner) in enumerate(chains):
         others = ends[:c] + ends[c + 1 :]
-        length = len(interior) + 1
-        for j, v in enumerate(interior, 1):
-            rest = length - j
-            dist, sigma = _kernel_search(kernel_nbrs, chain_ends, ((a, j), (b, rest)))
-            top = _meeting_max(dist, sigma, others, max(sigma))
-            # The two halves of the source's own chain, each with the
-            # source (distance 0, count 1) as one end.
-            da, db = dist[a], dist[b]
-            if da < j and not (da + j) & 1 and sigma[a] >= top:  # type: ignore[operator]
-                top = sigma[a] + 1
-            if db < rest and not (db + rest) & 1 and sigma[b] >= top:  # type: ignore[operator]
-                top = sigma[b] + 1
-            row_max[v] = top
+        for j, v in enumerate(inner, 1):
+            dist, sigma = _kernel_search(nbrs, ((a, j), (b, length - j)))
+            # The source is vertex ``size``, and the two halves of its own
+            # chain are chains with it as one end.
+            dist.append(0)
+            sigma.append(1)
+            halves = [(a, size, j), (size, b, length - j)]
+            row_max[v] = _meeting_max(dist, sigma, others + halves, max(sigma))
 
 
 def _kernel_search(
-    kernel_nbrs: list[tuple[int, ...]],
-    chain_ends: list[tuple[tuple[int, int], ...]],
-    seeds: tuple[tuple[int, int], ...],
+    nbrs: list[list[tuple[int, int]]], seeds: tuple[tuple[int, int], ...]
 ) -> tuple[list[int | None], list[int]]:
     """Distances and geodesic counts to the kernel vertices from a source
-    that reaches each seed ``(w, d)`` by one path of length d.
+    that reaches each seed ``(w, d)`` by one path of length d, over the
+    weighted edges ``nbrs[v] = [(w, L), ...]``.
 
-    A chain arrival due at a later level is held in ``dist`` and ``sigma``
-    as if w were already reached then, and ``pending[level]`` lists the
-    vertices due at that level.  A shorter arrival or direct edge
-    overwrites it, and a stale entry of ``pending`` is skipped.
+    ``level[d]`` lists the vertices reached at distance d.  Levels are
+    settled in increasing order; every L is at least 1, so a vertex's count
+    is final when its level comes up.  A vertex listed at one level and
+    then reached sooner stays listed there; relaxing it again lowers no
+    distance, so it changes no count.
     """
-    size = len(kernel_nbrs)
-    dist: list[int | None] = [None] * size
-    sigma = [0] * size
-    pending: dict[int, list[int]] = {}
+    dist: list[int | None] = [None] * len(nbrs)
+    sigma = [0] * len(nbrs)
+    level: dict[int, list[int]] = {}
     for w, at in seeds:
         dw = dist[w]
         if dw is None or at < dw:
             dist[w] = at
             sigma[w] = 1
-            pending.setdefault(at, []).append(w)
+            level.setdefault(at, []).append(w)
         elif at == dw:
             sigma[w] += 1
-    level = 0
-    reached: list[int] = []
-    while True:
-        if reached:
-            # The counts of the vertices settled at this level are final,
-            # so their chain arrivals can be scheduled.
-            for v in reached:
-                ends = chain_ends[v]
-                if ends:
-                    sv = sigma[v]
-                    for w, length in ends:
-                        at = level + length
-                        dw = dist[w]
-                        if dw is None or at < dw:
-                            dist[w] = at
-                            sigma[w] = sv
-                            if at in pending:
-                                pending[at].append(w)
-                            else:
-                                pending[at] = [w]
-                        elif at == dw:
-                            sigma[w] += sv
-            frontier = reached
-            level += 1
-            reached = []
-            for v in frontier:
-                sv = sigma[v]
-                for w in kernel_nbrs[v]:
-                    dw = dist[w]
-                    if dw is None or dw > level:
-                        dist[w] = level
-                        sigma[w] = sv
-                        reached.append(w)
-                    elif dw == level:
-                        sigma[w] += sv
-        elif pending:
-            level = min(pending)
-        else:
-            return dist, sigma
-        due = pending.pop(level, None)
-        if due:
-            for w in due:
-                if dist[w] == level:
-                    reached.append(w)
+    d = -1
+    while level:
+        # The next level is most often d + 1, found without a scan.
+        d = d + 1 if d + 1 in level else min(level)
+        for v in level.pop(d):
+            sv = sigma[v]
+            for w, length in nbrs[v]:
+                at = d + length
+                dw = dist[w]
+                if dw is None or at < dw:
+                    dist[w] = at
+                    sigma[w] = sv
+                    if at in level:
+                        level[at].append(w)
+                    else:
+                        level[at] = [w]
+                elif at == dw:
+                    sigma[w] += sv
+    return dist, sigma
 
 
 def _meeting_max(dist, sigma, ends, top: int) -> int:

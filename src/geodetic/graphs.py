@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -170,8 +170,8 @@ def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[in
     accumulates the path counts of all its level d-1 neighbours.  This is
     the package's one breadth-first search over a whole graph; every
     distance and geodesic count is read off its rows, apart from
-    ``geodesics.count_geodesics``, which searches the kernel and chains of
-    a 2-core with a level loop of its own.
+    ``geodesics.count_geodesics``, which walks the chains of a 2-core with
+    ``_chains`` and searches the kernel between them as a weighted graph.
     """
     adjacency = g.adjacency
     dist: list[int | None] = [None] * g.vertex_count
@@ -195,6 +195,41 @@ def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[in
                     sigma[w] += sv
         frontier = reached
     return dist, sigma
+
+
+def _chains(
+    adjacency: Sequence[tuple[int, ...]], ends: Sequence[int]
+) -> list[tuple[int, int, list[int]]]:
+    """Every path between two vertices of ``ends`` whose inner vertices all
+    have degree 2, once each, as ``(a, b, inner)`` with ``inner`` listed
+    from a to b.
+
+    Paths come in the order they are first reached, scanning ``ends`` in
+    order and each end's neighbours in order, each listed from the end it
+    was reached from.  An edge between two ends has no inner vertex and is
+    listed from its lower end; a path from an end back to itself has a = b.
+    A vertex on no listed path cannot be reached from ``ends`` through
+    degree-2 vertices.
+    """
+    is_end = [False] * len(adjacency)
+    for v in ends:
+        is_end[v] = True
+    walked = is_end[:]
+    chains = []
+    for a in ends:
+        for w in adjacency[a]:
+            if is_end[w]:
+                if a < w:
+                    chains.append((a, w, []))
+            elif not walked[w]:
+                prev, cur, inner = a, w, []
+                while not walked[cur]:
+                    walked[cur] = True
+                    inner.append(cur)
+                    x, y = adjacency[cur]
+                    prev, cur = cur, (y if x == prev else x)
+                chains.append((a, cur, inner))
+    return chains
 
 
 def is_connected(g: Graph) -> bool:

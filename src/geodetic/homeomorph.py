@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _bfs_counts, is_connected
+from .graphs import Graph, GraphError, _bfs_counts, _chains, is_connected
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,10 @@ class SegmentDecomposition:
 
 
 def _walk_segments(g: Graph, degs: list[int]) -> SegmentDecomposition:
-    """Walk every edge out of every node through degree-2 vertices to the
-    next node; each segment is kept once, as first walked."""
+    """The nodes and every segment, each walked from its first node."""
     nodes = tuple(v for v, d in enumerate(degs) if d >= 3)
-    segments: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for u in nodes:
-        for first in g.adjacency[u]:
-            seq = [u, first]
-            while degs[seq[-1]] == 2:
-                seq.append(next(x for x in g.adjacency[seq[-1]] if x != seq[-2]))
-            path = tuple(seq)
-            segments.setdefault(min(path, path[::-1]), path)
-    return SegmentDecomposition(nodes, tuple(segments.values()))
+    segments = tuple((a, *inner, b) for a, b, inner in _chains(g.adjacency, nodes))
+    return SegmentDecomposition(nodes, segments)
 
 
 def decompose_segments(g: Graph) -> SegmentDecomposition:

@@ -296,6 +296,25 @@ class TestCor4:
         assert out.count("chord system found") == 10
         assert "no certification" in out
 
+    def test_no_certification_names_the_oracle_k(self, tmp_path, capsys):
+        # Atlas graph 704: K4 on {3, 4, 5, 6} plus the path 4-0-1-2-3.  Its
+        # minimal even cycles are the K4's 4-cycles, which all carry a chord
+        # system, yet 1 and 5 are joined by two geodesics.
+        path = tmp_path / "g704.edges"
+        path.write_text("3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n0 4\n0 1\n1 2\n2 3\n")
+        rc = main(["cor4", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[-1] == (
+            "no certification (oracle K=2): cor4 checks only minimal even cycles, "
+            "so this is not a verdict that the graph is geodetic"
+        )
+        rc = main(["cor4", "--json", str(path)])
+        report = report_of(capsys)
+        assert rc == 0
+        assert report["certified_nongeodetic"] is False
+        assert report["oracle_k"] == 2
+
     def test_no_even_cycle(self, tmp_path, capsys):
         rc = main(["cor4", graph_file(tmp_path, cycle_graph(7))])
         out = capsys.readouterr().out

@@ -34,6 +34,31 @@ class TestDecomposeSegments:
         assert dec.nodes == (0, 4)
         assert sorted(len(s) - 1 for s in dec.segments) == [1, 4, 4]
 
+    @pytest.mark.parametrize(
+        "edges, nodes, segments",
+        [
+            (
+                complete_graph(4).edges(),
+                (0, 1, 2, 3),
+                ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            ),
+            (  # three length-3 paths between 0 and 1, plus the edge 0-1
+                [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7), (7, 1), (0, 1)],
+                (0, 1),
+                ((0, 1), (0, 2, 3, 1), (0, 4, 5, 1), (0, 6, 7, 1)),
+            ),
+            (  # three triangles sharing vertex 0: loop segments
+                [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)],
+                (0,),
+                ((0, 1, 2, 0), (0, 3, 4, 0), (0, 5, 6, 0)),
+            ),
+        ],
+    )
+    def test_exact_walk_order_and_direction(self, edges, nodes, segments):
+        dec = decompose_segments(from_edge_list(edges))
+        assert dec.nodes == nodes
+        assert dec.segments == segments
+
     def test_every_edge_on_exactly_one_segment(self, h1, h2, petersen, c8_chord):
         for g in (h1.graph, h2.graph, petersen, c8_chord, complete_graph(5)):
             dec = decompose_segments(g)
