@@ -1,7 +1,8 @@
 """Walk the named fixture graphs and print, for each: its class by
-shortest-path multiplicity, the even-cycle witness scan, the
-chord-system certification outcome, the distinct chord systems matched
-on its minimal even cycles, and the K4-subdivision test's verdict.
+shortest-path multiplicity, the even-cycle witness scan (exhaustive and
+capped at length 6), the chord-system certification outcome, the distinct
+chord systems matched on its minimal even cycles, and the K4-subdivision
+test's verdict.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -69,15 +70,14 @@ def describe(name: str, g) -> None:
         line += f" (pair ({u}, {v}): {profile.k_value} geodesics)"
     print(line)
 
-    verdict = lemma1_scan(g)
-    if verdict.witness is None:
-        print("  witness scan: no even cycle realises an opposite pair")
-    else:
-        u, v = verdict.witness_pair
-        print(
-            f"  witness scan: cycle of length {verdict.witness.length} "
-            f"with pair ({u}, {v})"
-        )
+    for max_len in (None, 6):
+        verdict = lemma1_scan(g, max_len)
+        scan = "witness scan" if max_len is None else f"witness scan up to length {max_len}"
+        if verdict.witness is None:
+            print(f"  {scan}: no even cycle realises an opposite pair")
+        else:
+            u, v = verdict.witness_pair
+            print(f"  {scan}: cycle of length {verdict.witness.length} with pair ({u}, {v})")
 
     verdicts = corollary4_check(g).verdicts
     certified = sum(v.certified_nongeodetic for v in verdicts)

@@ -6,18 +6,18 @@ the whole graph equals |C|/2: both arcs of C are then shortest u-v paths.
 Conversely, any two geodesics of a closest pair joined by more than one
 share no inner vertex and close up into such a cycle, so the shortest
 witness has length 2·min{d(u, v) : σ(u, v) >= 2}, where σ counts shortest
-paths.  ``lemma1_scan`` finds it by breadth-first path counting in O(n·m)
-time.  The chord-system certifier needs only the shortest even cycles;
-``minimal_even_cycles`` finds them by a canonical depth-first search whose
-length bound doubles from 4, so no round searches past twice the even
-girth.
+paths.  ``lemma1_scan`` reads it off the 2-core search of
+``count_geodesics``, linear on a cycle.  The chord-system certifier needs
+only the shortest even cycles; ``minimal_even_cycles`` finds them by a
+canonical depth-first search whose length bound doubles from 4, so no
+round searches past twice the even girth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geodesics import enumerate_geodesics
+from .geodesics import _meetings, _source_rows, enumerate_geodesics
 from .graphs import Graph, GraphError, _bfs_counts, is_connected
 
 
@@ -143,33 +143,51 @@ def _scan_scope(n: int, max_len: int | None) -> tuple[int, bool]:
 
 
 def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
-    """Search for a nongeodeticity witness of length at most ``max_len``.
+    """Search for a nongeodeticity witness of length at most ``max_len``
+    (by default the vertex count, which makes the scan exhaustive).
 
-    Counts shortest paths by breadth-first search from each vertex u in
-    turn, at most half the scanned length deep, and keeps the pair (u, v),
-    u < v, joined by two or more geodesics that is least in (distance, u,
-    v) order; once a pair is found, later searches stop short of its
-    distance.  Two geodesics of such a pair share no inner vertex, since a
-    shared one would split off a closer pair joined by two geodesics, so
-    they close into the witness cycle.  Costs one bounded BFS per vertex,
-    O(n·m) in all.  ``max_len`` defaults to the vertex count, which makes
-    the scan exhaustive.
+    The witness pair (u, v), u < v, is least in (distance, u, v) order
+    among the pairs joined by two or more geodesics; these share no inner
+    vertex, or it would split off a closer such pair, so two of them close
+    into the witness cycle.  The search of ``count_geodesics`` reads (d, u)
+    at each source u, d its least level with two or more geodesics, and
+    the least reading names u:
+    - a tree vertex x never holds the pair, as sigma(x, y) = sigma(r(x), y)
+      and d(r(x), y) < d(x, y); it copies its root's reading and label;
+    - a partner v < u would read (d, v) < (d, u);
+    - under the cap the pair is the global least one if d <= scanned / 2,
+      and there is none otherwise, so a full chain search is filtered here.
+    One BFS from u then gives v.  On the plain-BFS branch each search stops
+    short of the least level read so far: a later source, being larger,
+    wins only at a smaller level.
     """
     n = g.vertex_count
     if not is_connected(g):
         raise GraphError("witness scan requires a connected graph")
     scanned, exhaustive = _scan_scope(n, max_len)
-    best: tuple[int, int, int] | None = None
     depth = scanned // 2
-    for u in range(n):
-        dist, sigma = _bfs_counts(g, u, depth)
-        pairs = [(dist[v], u, v) for v in range(u + 1, n) if sigma[v] >= 2]
-        if pairs:
-            best = min(pairs)  # type: ignore[type-var]
-            depth = best[0] - 1
-    if best is None:
+
+    def read(u, dist, sigma, ends):
+        nonlocal depth
+        row = _least_repeat(u, dist, sigma, ends)
+        if row:
+            depth = min(depth, row[0] - 1)
+        return row
+
+    best = min(filter(None, _source_rows(g, read, lambda: depth)), default=None)
+    if best is None or best[0] > scanned // 2:
         return Lemma1Verdict(None, scanned, exhaustive)
-    _, u, v = best
+    d, u = best
+    dist, sigma = _bfs_counts(g, u, d)
+    v = next(v for v in range(u + 1, n) if dist[v] == d and sigma[v] >= 2)
     first, second = enumerate_geodesics(g, u, v, cap=2).paths
     witness = CycleView.from_sequence(first + second[-2:0:-1])
     return Lemma1Verdict(witness, scanned, exhaustive, (u, v))
+
+
+def _least_repeat(u, dist, sigma, ends) -> tuple[int, int] | None:
+    """(d, u), d the least level at which source u has two geodesics, or None."""
+    levels = [level for _, _, level in _meetings(dist, ends)]
+    if max(sigma) > 1:
+        levels.append(min(d for d, s in zip(dist, sigma) if s > 1))
+    return (min(levels), u) if levels else None

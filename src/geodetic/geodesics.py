@@ -14,7 +14,7 @@ then costs linear time instead of quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 from .graphs import Graph, GraphError, _bfs_counts, _chains
 
@@ -90,14 +90,17 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
     in one BFS from u.  When K = 1 the witness is (0, 0) at distance 0.
 
     Cost: n sources x (kernel vertices + chains) at most, plus the peel
-    and the witness BFS; memory stays linear.  Raises GraphError on the
-    empty graph or a disconnected one, naming 0 and the first vertex
-    unreachable from it, found by one BFS from 0 on that path only.
+    and the witness BFS; memory stays linear.  One BFS from 0 checks
+    connectivity up front, and raises GraphError naming 0 and the first
+    vertex it cannot reach; so does the empty graph.
     """
     n = g.vertex_count
     if n == 0:
         raise GraphError("cannot profile the empty graph")
-    row_max = _row_maxima(g)
+    dist = _bfs_counts(g, 0, n)[0]
+    if None in dist:
+        raise GraphError(f"graph is disconnected: no path between 0 and {dist.index(None)}")
+    row_max = _source_rows(g, _row_max, lambda: n)
     k_value = max(row_max)
     if k_value == 1:
         return GeodesicProfile(n, 1, (0, 0), 0)
@@ -107,9 +110,14 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
     return GeodesicProfile(n, k_value, (u, v), dist[v])  # type: ignore[arg-type]
 
 
-def _row_maxima(g: Graph) -> list[int]:
-    """The row maximum of every vertex of a non-empty graph, at least 1;
-    GraphError when the graph is disconnected."""
+def _source_rows(g: Graph, read: Callable, depth: Callable[[], int]) -> list:
+    """``read(v, dist, sigma, ends)`` at each core source v of a connected
+    graph, searched as ``count_geodesics`` describes, and its root's at
+    each tree vertex; a tree takes the reading of one vertex alone.  The
+    row is over the kernel, with each chain (a, b, L) in ``ends``.  The
+    plain-BFS branch reads the whole core, sources ascending, ``depth()``
+    levels deep, asked anew for each source, and ``ends`` is empty.
+    """
     adjacency = g.adjacency
     n = len(adjacency)
     deg = [len(nbrs) for nbrs in adjacency]
@@ -126,12 +134,8 @@ def _row_maxima(g: Graph) -> list[int]:
                 if deg[y] == 1:
                     order.append(y)
     core_size = n - len(order)
-    # A connected graph leaves no vertex without a neighbour to hang from,
-    # except the last vertex of a tree.
-    if parent.count(-1) != (0 if core_size else 1):
-        raise _disconnected(g)
     if not core_size:
-        return [1] * n
+        return [read(0, [0], [1], ())] * n
     if order:
         core = [v for v in range(n) if parent[v] is None]
         core_nbrs = [
@@ -148,9 +152,37 @@ def _row_maxima(g: Graph) -> list[int]:
             x, y = core_nbrs[v]
             if deg[x] > 2 < deg[y]:
                 kernel.append(v)
-    row_max = [0] * n
+    rows: list = [None] * n
     if 2 * len(kernel) < core_size:
-        _chain_row_maxima(kernel or [core[0]], core_nbrs, core_size, row_max, g)
+        # Walk each chain once from its kernel ends, then search from every
+        # kernel vertex and every chain vertex.
+        kernel = kernel or [core[0]]
+        index = [-1] * n
+        for i, v in enumerate(kernel):
+            index[v] = i
+        size = len(kernel)
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in kernel]
+        chains = []  # (a, b, L, inner vertices from a to b), a and b kernel indices
+        for a, b, inner in _chains(core_nbrs, kernel):
+            a, b, length = index[a], index[b], len(inner) + 1
+            if a != b:  # a loop chain never shortens a path
+                nbrs[a].append((b, length))
+                nbrs[b].append((a, length))
+            if inner:
+                chains.append((a, b, length, inner))
+        ends = [chain[:3] for chain in chains]
+        for i, v in enumerate(kernel):
+            dist, sigma = _kernel_search(nbrs, ((i, 0),))
+            rows[v] = read(v, dist, sigma, ends)
+        for c, (a, b, length, inner) in enumerate(chains):
+            others = ends[:c] + ends[c + 1 :]
+            for j, v in enumerate(inner, 1):
+                dist, sigma = _kernel_search(nbrs, ((a, j), (b, length - j)))
+                # The source is vertex ``size``, and the two halves of its
+                # own chain are chains with it as one end.
+                dist.append(0)
+                sigma.append(1)
+                rows[v] = read(v, dist, sigma, others + [(a, size, j), (size, b, length - j)])
     else:
         # The chains hold no more core vertices than the kernel, so run
         # the plain BFS on the whole core, relabelled 0 .. core_size - 1
@@ -162,65 +194,11 @@ def _row_maxima(g: Graph) -> list[int]:
                 index[v] = i
             core_graph = Graph(tuple(tuple([index[w] for w in core_nbrs[v]]) for v in core))
         for i, v in enumerate(core):
-            dist, sigma = _bfs_counts(core_graph, i, core_size)
-            if not i and None in dist:
-                raise _disconnected(g)
-            row_max[v] = max(sigma)
+            dist, sigma = _bfs_counts(core_graph, i, depth())
+            rows[v] = read(v, dist, sigma, ())
     for x in reversed(order):
-        row_max[x] = row_max[parent[x]]  # type: ignore[index]
-    return row_max
-
-
-def _disconnected(g: Graph) -> GraphError:
-    """The error for a disconnected graph, naming 0 and the first vertex
-    that cannot be reached from it."""
-    dist = _bfs_counts(g, 0, g.vertex_count)[0]
-    return GraphError(f"graph is disconnected: no path between 0 and {dist.index(None)}")
-
-
-def _chain_row_maxima(
-    kernel: list[int],
-    core_nbrs: Sequence[tuple[int, ...]],
-    core_size: int,
-    row_max: list[int],
-    g: Graph,
-) -> None:
-    """Fill ``row_max`` for every core vertex: walk each chain once from
-    its kernel ends, then search from every kernel vertex and every chain
-    vertex (see ``count_geodesics``)."""
-    index = [-1] * len(core_nbrs)
-    for i, v in enumerate(kernel):
-        index[v] = i
-    size = len(kernel)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in kernel]
-    chains = []  # (a, b, L, inner vertices from a to b), a and b kernel indices
-    covered = size
-    for a, b, inner in _chains(core_nbrs, kernel):
-        a, b, length = index[a], index[b], len(inner) + 1
-        if a != b:  # a loop chain never shortens a path
-            nbrs[a].append((b, length))
-            nbrs[b].append((a, length))
-        if inner:
-            chains.append((a, b, length, inner))
-            covered += len(inner)
-    if covered != core_size:
-        raise _disconnected(g)
-    ends = [chain[:3] for chain in chains]
-    for i, v in enumerate(kernel):
-        dist, sigma = _kernel_search(nbrs, ((i, 0),))
-        if not i and None in dist:
-            raise _disconnected(g)
-        row_max[v] = _meeting_max(dist, sigma, ends, max(sigma))
-    for c, (a, b, length, inner) in enumerate(chains):
-        others = ends[:c] + ends[c + 1 :]
-        for j, v in enumerate(inner, 1):
-            dist, sigma = _kernel_search(nbrs, ((a, j), (b, length - j)))
-            # The source is vertex ``size``, and the two halves of its own
-            # chain are chains with it as one end.
-            dist.append(0)
-            sigma.append(1)
-            halves = [(a, size, j), (size, b, length - j)]
-            row_max[v] = _meeting_max(dist, sigma, others + halves, max(sigma))
+        rows[x] = rows[parent[x]]  # type: ignore[index]
+    return rows
 
 
 def _kernel_search(
@@ -268,16 +246,18 @@ def _kernel_search(
     return dist, sigma
 
 
-def _meeting_max(dist, sigma, ends, top: int) -> int:
-    """``top`` raised to the meeting value sigma_a + sigma_b of every chain
-    (a, b, L) whose two shortest routes meet at an interior vertex."""
+def _meetings(dist, ends):
+    """(a, b, level) for each chain (a, b, L) of ``ends`` whose shortest routes
+    meet inside it, at level (d_a + d_b + L) / 2 with sigma_a + sigma_b."""
     for a, b, length in ends:
         t = dist[b] + length - dist[a]
         if 0 < t < 2 * length and not t & 1:
-            meet = sigma[a] + sigma[b]
-            if meet > top:
-                top = meet
-    return top
+            yield a, b, dist[a] + t // 2
+
+
+def _row_max(v, dist, sigma, ends) -> int:
+    """The row maximum of source v, at a kernel vertex or a chain's meeting."""
+    return max([max(sigma)] + [sigma[a] + sigma[b] for a, b, _ in _meetings(dist, ends)])
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,10 @@ def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[in
     Breadth-first, one level at a time: a vertex first reached at level d
     accumulates the path counts of all its level d-1 neighbours.  This is
     the package's one breadth-first search over a whole graph; every
-    distance and geodesic count is read off its rows, apart from
-    ``geodesics.count_geodesics``, which walks the chains of a 2-core with
-    ``_chains`` and searches the kernel between them as a weighted graph.
+    distance and geodesic count is read off its rows, apart from those of
+    ``geodesics.count_geodesics`` and ``cycles.lemma1_scan``, which walk the
+    chains of a 2-core with ``_chains`` and search the kernel between them
+    as a weighted graph.
     """
     adjacency = g.adjacency
     dist: list[int | None] = [None] * g.vertex_count

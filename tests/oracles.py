@@ -8,10 +8,10 @@ evaluating every chord tuple, or at larger L from solving condition 2 on
 every arc composition, never from the composition bijection, and chord
 systems from trying every 2n-subset of a cycle's positions.  Agreement
 between these and the fast implementations is therefore meaningful
-evidence.  The one exception is ``bfs_count_geodesics``, a plain BFS from
-every vertex without the 2-core and chain reductions of
-``count_geodesics``; it referees them on graphs too large for path
-enumeration.
+evidence.  The two exceptions run a plain BFS from every vertex, without
+the 2-core and chain reductions that ``count_geodesics`` and
+``lemma1_scan`` share, and referee those on graphs too large for path
+enumeration: ``bfs_count_geodesics`` and ``bfs_lemma1``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from geodetic import (
     SearchLimits,
     SweepBounds,
     build,
+    enumerate_geodesics,
     enumerate_specs,
     evaluate_spec,
+    is_connected,
     theorem2_pair_property,
     validate_cycle_in,
 )
@@ -41,6 +43,7 @@ from geodetic.harness import (
     _finding,
     compositions,
 )
+from geodetic.cycles import Lemma1Verdict
 from geodetic.geodesics import GeodesicProfile
 from geodetic.graphs import _bfs_counts
 
@@ -168,6 +171,33 @@ def brute_lemma1(
             if dist[pair] == m // 2:
                 return scanned, cap >= n, (c, pair)
     return scanned, cap >= n, None
+
+
+def bfs_lemma1(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
+    """``lemma1_scan`` by one BFS from each vertex u in turn, at most half
+    the scanned length deep: keep the pair (u, v), u < v, with two or more
+    geodesics that is least in (distance, u, v) order, and once one is
+    found stop later searches short of its distance.  No 2-core, no
+    chains."""
+    n = g.vertex_count
+    if not is_connected(g):
+        raise GraphError("witness scan requires a connected graph")
+    scanned = n if max_len is None else min(max_len, n)
+    exhaustive = max_len is None or max_len >= n
+    best: tuple[int, int, int] | None = None
+    depth = scanned // 2
+    for u in range(n):
+        dist, sigma = _bfs_counts(g, u, depth)
+        pairs = [(dist[v], u, v) for v in range(u + 1, n) if sigma[v] >= 2]
+        if pairs:
+            best = min(pairs)  # type: ignore[type-var]
+            depth = best[0] - 1
+    if best is None:
+        return Lemma1Verdict(None, scanned, exhaustive)
+    _, u, v = best
+    first, second = enumerate_geodesics(g, u, v, cap=2).paths
+    witness = CycleView.from_sequence(first + second[-2:0:-1])
+    return Lemma1Verdict(witness, scanned, exhaustive, (u, v))
 
 
 def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:

@@ -16,14 +16,16 @@ from geodetic import (
     enumerate_geodesics,
     from_edge_list,
     is_connected,
+    lemma1_scan,
     path_graph,
     petersen_graph,
     subdivided_k4,
 )
-from geodetic.geodesics import _row_maxima
+from geodetic.cycles import _least_repeat
+from geodetic.geodesics import _row_max, _source_rows
 from conftest import engine_rows
 from corpus import hoffman_singleton_graph, one_point_union, seeded_samples, standard_corpus
-from oracles import bfs_count_geodesics, brute_k, brute_shortest_paths
+from oracles import bfs_count_geodesics, bfs_lemma1, brute_k, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1])
 edge_lists = st.lists(edge_pairs, min_size=1, max_size=18)
@@ -201,6 +203,19 @@ REFEREE_FAMILIES = {
 }
 
 
+def _two_core(g):
+    """The vertices left after peeling vertices of degree <= 1 until none is
+    left."""
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    peeled = [v for v in g.vertices() if deg[v] < 2]
+    for x in peeled:
+        for y in g.adjacency[x]:
+            deg[y] -= 1
+            if deg[y] == 1:
+                peeled.append(y)
+    return sorted(set(g.vertices()) - set(peeled))
+
+
 class TestAgainstBfsReferee:
     """``count_geodesics`` searches the 2-core and crosses chains in one
     step; the referee runs a plain BFS from every vertex.  Besides the
@@ -212,8 +227,16 @@ class TestAgainstBfsReferee:
         for g in REFEREE_FAMILIES[family](random.Random(family)):
             assert count_geodesics(g) == bfs_count_geodesics(g), g.edges()
             if g.vertex_count <= 250:
-                _, count = engine_rows(g)
-                assert _row_maxima(g) == [max(row) for row in count], g.edges()
+                n = g.vertex_count
+                dist, count = engine_rows(g)
+                row_max = _source_rows(g, _row_max, lambda: n)
+                assert row_max == [max(row) for row in count], g.edges()
+                # lemma1's reading at each core source: its least level
+                # with two or more geodesics, and the source.
+                readings = _source_rows(g, _least_repeat, lambda: n)
+                for v in _two_core(g):
+                    levels = [d for d, c in zip(dist[v], count[v]) if c >= 2]
+                    assert readings[v] == ((min(levels), v) if levels else None), g.edges()
 
     def test_pendant_edges_on_a_four_cycle(self):
         # The 4-cycle 2-3-4-5 with 0 hung from 2 and 1 from 4: the pair
@@ -253,6 +276,19 @@ class TestAgainstBfsReferee:
         # vertex from every source takes minutes.
         p = count_geodesics(cycle_graph(20000))
         assert (p.k_value, p.witness_pair, p.witness_distance) == (2, (0, 10000), 10000)
+
+
+class TestLemma1AgainstBfsReferee:
+    """``lemma1_scan`` reads the witness off the 2-core search of
+    ``count_geodesics``; the referee runs one bounded BFS from every
+    vertex.  The caps cover both sides of half a cycle's length, so the
+    chain branch's filter on a full search is exercised."""
+
+    @pytest.mark.parametrize("family", sorted(REFEREE_FAMILIES))
+    def test_matches_referee(self, family):
+        for g in REFEREE_FAMILIES[family](random.Random(family)):
+            for max_len in (None, 4, 5, 6, 7, 8, 10, 13):
+                assert lemma1_scan(g, max_len) == bfs_lemma1(g, max_len), (g.edges(), max_len)
 
 
 class TestClassifyK:

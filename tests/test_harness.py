@@ -246,6 +246,17 @@ class TestFindChordSystem:
         assert result.system.node_vertices == (0, 1, 3, 5)
         assert result.system.chord_paths == ((0, 6, 3), (1, 5))
 
+    def test_round_trip_on_every_spec_graph(self):
+        # Build every condition-satisfying spec with L <= 7 and search its
+        # base cycle: the match must lie in the spec's rotation-and-reflection
+        # orbit, so it also has as many chords.
+        specs = enumerated_specs(SweepBounds(7))
+        assert len(specs) == 581
+        for spec in specs:
+            h = build(spec)
+            match = find_chord_system(h.graph, h.cycle).system
+            assert match is not None and _orbit_key(match.spec)[0] == _orbit_key(spec)[0], spec
+
     def test_chorded_c8_has_no_system(self, c8_chord):
         c = CycleView.from_sequence(range(8))
         result = find_chord_system(c8_chord, c)
