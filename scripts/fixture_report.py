@@ -2,7 +2,8 @@
 shortest-path multiplicity, the even-cycle witness scan (exhaustive and
 capped at length 6), the chord-system certification outcome, the distinct
 chord systems matched on its minimal even cycles, and the K4-subdivision
-test's verdict.
+test's verdict.  Then print the ``check-embedded`` text and exit code for
+one spec line per branch of its report.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -13,6 +14,8 @@ is also pinned by the test suite, and the whole output by
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 
 from geodetic import (
@@ -31,6 +34,7 @@ from geodetic import (
     subdivided_k4,
     theorem1_check,
 )
+from geodetic.cli import main as cli_main
 
 FIXTURES = [
     ("complete graph K4", complete_graph(4)),
@@ -58,6 +62,18 @@ EMBEDDED = [
     EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 1)),
     EmbeddedSpec(3, 3, (1, 1, 1, 1, 1, 1), (2, 2, 2)),
     EmbeddedSpec(8, 4, (2, 1, 4, 2, 1, 4, 1, 1), (6, 7, 4, 7)),
+]
+
+# One spec line per branch of the check-embedded report.
+CHECK_EMBEDDED = [
+    ("geodetic fixture", "L=3 n=2 arcs=1,2,2,1 chords=2,1"),
+    ("bigeodetic fixture", "L=3 n=3 arcs=1,1,1,1,1,1 chords=2,2,2"),
+    ("chord too long", "L=3 n=2 arcs=1,2,2,1 chords=3,1"),
+    ("arcs do not sum to 2L", "L=3 n=2 arcs=1,1,1,1 chords=2,1"),
+    ("wrong tuple shapes", "L=3 n=2 arcs=1,2,2 chords=2"),
+    ("embedded, condition 2 fails", "L=3 n=2 arcs=1,2,1,2 chords=2,2"),
+    ("short even chord-arc cycle", "L=4 n=2 arcs=2,2,2,2 chords=2,2"),
+    ("short even neighbouring-chord cycle", "L=4 n=2 arcs=1,3,1,3 chords=1,1"),
 ]
 
 
@@ -110,6 +126,13 @@ def main() -> int:
     for spec in EMBEDDED:
         h = build(spec)
         describe(f"embedded even graph {format_spec_line(spec)}", h.graph)
+    for name, line in CHECK_EMBEDDED:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["check-embedded", "--spec", line])
+        print(f"check-embedded, {name}: exit code {code}")
+        for text in out.getvalue().splitlines():
+            print(f"  {text}")
     return 0
 
 

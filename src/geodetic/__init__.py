@@ -21,7 +21,6 @@ from .embedding import (
     evaluate_spec,
     format_spec_line,
     parse_spec_line,
-    validate_spec,
 )
 from .families import (
     complete_graph,
@@ -112,6 +111,5 @@ __all__ = [
     "theorem1_check",
     "theorem2_pair_property",
     "validate_cycle_in",
-    "validate_spec",
     "write_findings",
 ]

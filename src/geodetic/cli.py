@@ -138,40 +138,39 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
     report = evaluate_spec(spec)
     payload = {
         "spec": format_spec_line(spec),
-        "chord_valid": report.validation.ok,
-        "problems": list(report.validation.problems),
+        "chord_valid": report.chord_valid,
+        "problems": list(report.problems),
         "condition1": None,
         "condition2": None,
         "embeddedness": None,
         "predicted": None,
     }
-    text = [format_spec_line(spec)]
-    for problem in report.validation.problems:
-        text.append(f"invalid: {problem}")
-    if report.condition1 is not None:
-        lengths = report.condition1.cycle_lengths
+    text = [format_spec_line(spec), *(f"invalid: {problem}" for problem in report.problems)]
+    if report.chord_arc_lengths is not None:
+        lengths = report.chord_arc_lengths
         pairs = ", ".join(f"A{i + 1}: {cw}/{ccw}" for i, (cw, ccw) in enumerate(lengths))
         payload["condition1"] = {
-            "ok": report.condition1.ok,
+            "ok": report.condition1,
             "chord_arc_cycle_lengths": [list(pair) for pair in lengths],
         }
         text.append(
             f"condition 1 (chord+arc cycles all odd): "
-            f"{'ok' if report.condition1.ok else 'FAIL'} ({pairs})"
+            f"{'ok' if report.condition1 else 'FAIL'} ({pairs})"
         )
-    if report.condition2 is not None:
+    if report.adjacent_lengths is not None:
         payload["condition2"] = {
-            "ok": report.condition2.ok,
-            "adjacent_chord_cycle_lengths": list(report.condition2.lengths),
+            "ok": report.condition2,
+            "adjacent_chord_cycle_lengths": list(report.adjacent_lengths),
         }
         text.append(
             f"condition 2 (neighbouring-chord cycles all {spec.cycle_length}): "
-            f"{'ok' if report.condition2.ok else 'FAIL'} "
-            f"({', '.join(str(x) for x in report.condition2.lengths)})"
+            f"{'ok' if report.condition2 else 'FAIL'} "
+            f"({', '.join(str(x) for x in report.adjacent_lengths)})"
         )
-    if report.embeddedness is not None:
+    violations = report.violations
+    if violations is not None:
         payload["embeddedness"] = {
-            "ok": report.embeddedness.ok,
+            "ok": report.embedded,
             "violations": [
                 {
                     "kind": v.kind,
@@ -179,14 +178,14 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
                     "length": v.length,
                     "arc_side": v.arc_side,
                 }
-                for v in report.embeddedness.violations
+                for v in violations
             ],
         }
         text.append(
             f"embeddedness (no even cycle shorter than {spec.cycle_length} among them): "
-            f"{'ok' if report.embeddedness.ok else 'FAIL'}"
+            f"{'ok' if report.embedded else 'FAIL'}"
         )
-        for v in report.embeddedness.violations:
+        for v in violations:
             names = "+".join(f"A{i + 1}" for i in v.chord_indices)
             text.append(f"  even cycle of length {v.length} from {v.kind} ({names})")
     predicted = report.predicted_class

@@ -56,9 +56,10 @@ class CycleView:
 
 
 def validate_cycle_in(g: Graph, c: CycleView) -> None:
-    """Raise unless every consecutive pair of ``c`` is an edge of ``g``."""
+    """Raise unless every consecutive pair of ``c`` is an edge of ``g``.
+    Each vertex of ``c`` starts one pair, so a vertex outside ``g`` fails."""
     for u, v in c.edges():
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.vertex_count and g.has_edge(u, v)):
             raise GraphError(f"({u}, {v}) is not an edge of the graph")
 
 

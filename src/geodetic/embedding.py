@@ -13,20 +13,27 @@ Two arithmetic conditions on such a graph govern shortest-path uniqueness:
 2. every cycle made of two neighbouring chords plus the two arcs between
    their nearer endpoints has length exactly 2L.
 
-When both hold (together with the defining constraint that no such cycle
-is even and shorter than 2L), the graph is geodetic for n = 2 and
-bigeodetic for 3 <= n <= L.
+When both hold on a chord-valid spec, the graph is geodetic for n = 2 and
+bigeodetic for 3 <= n <= L.  Embeddedness, that no such cycle is even and
+shorter than 2L, then holds too and needs no check of its own: an odd
+cycle is never even, and a cycle of length 2L is never shorter than 2L.
+It is still reported, since it decides what a spec failing a condition
+says about the converse.
 
 Parameterisation: ``arcs[k]`` is the arc length from endpoint k to
 endpoint k+1 (cyclically, 0-based), ``chords[i]`` the length of chord i.
-All condition checks are pure arithmetic on these tuples, so they can be
-evaluated even for specs whose chords are invalid (e.g. too long).
+``evaluate_spec`` computes the problems and the cycle lengths in one pass,
+and every verdict is read off those lengths.  They are pure arithmetic on
+the tuples, so they exist even for specs whose chords are invalid (e.g.
+too long).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .cycles import CycleView
 from .geodesics import GeodeticClass
@@ -59,24 +66,10 @@ class EmbeddedSpec:
         return sum(self.arcs[i : self.n + i])
 
 
-@dataclass(frozen=True)
-class SpecValidation:
-    """All violations found in a spec, not just the first.
-
-    ``structure_ok`` is True when the tuple shapes and arc arithmetic are
-    coherent, so the condition checks are well defined (chords may still be
-    invalid)."""
-
-    structure_ok: bool
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate_spec(spec: EmbeddedSpec) -> SpecValidation:
-    """Check shape, positivity, arc sum, n range, and strict chord validity."""
+def _problems_and_spans(spec: EmbeddedSpec) -> tuple[tuple[str, ...], list[int] | None]:
+    """Every problem of the spec (shape, positivity, n range, arc sum, then
+    strict chord validity) and each chord's clockwise span, or None for the
+    spans when the cycle arithmetic would mean nothing."""
     problems: list[str] = []
     if len(spec.arcs) != 2 * spec.n:
         problems.append(f"expected {2 * spec.n} arcs, got {len(spec.arcs)}")
@@ -90,17 +83,17 @@ def validate_spec(spec: EmbeddedSpec) -> SpecValidation:
         problems.append(f"need L >= 2 and 2 <= n <= L, got L={spec.L} n={spec.n}")
     if shape_ok and positivity_ok and sum(spec.arcs) != 2 * spec.L:
         problems.append(f"arcs sum to {sum(spec.arcs)}, expected 2L = {2 * spec.L}")
-    structure_ok = not problems
-    if structure_ok:
-        for i, c in enumerate(spec.chords):
-            cw = spec.clockwise_span(i)
-            ccw = 2 * spec.L - cw
-            if not (c < cw and c < ccw):
-                problems.append(
-                    f"chord A{i + 1} has length {c}, not strictly shorter than "
-                    f"both arcs ({cw} and {ccw}) between its endpoints"
-                )
-    return SpecValidation(structure_ok, tuple(problems))
+    if problems:
+        return tuple(problems), None
+    spans = [spec.clockwise_span(i) for i in range(spec.n)]
+    for i, (c, cw) in enumerate(zip(spec.chords, spans)):
+        ccw = 2 * spec.L - cw
+        if not (c < cw and c < ccw):
+            problems.append(
+                f"chord A{i + 1} has length {c}, not strictly shorter than "
+                f"both arcs ({cw} and {ccw}) between its endpoints"
+            )
+    return tuple(problems), spans
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,9 @@ def build(spec: EmbeddedSpec) -> EmbeddedGraph:
     Vertex count is 2L + sum(c_i - 1) and edge count 2L + sum(c_i); the
     chord endpoints are exactly the degree-3 vertices.
     """
-    validation = validate_spec(spec)
-    if not validation.ok:
-        raise GraphError("invalid spec: " + "; ".join(validation.problems))
+    problems, _ = _problems_and_spans(spec)
+    if problems:
+        raise GraphError("invalid spec: " + "; ".join(problems))
     m = spec.cycle_length
     edges = [(k, (k + 1) % m) for k in range(m)]
     positions = spec.node_positions()
@@ -152,24 +145,6 @@ def build(spec: EmbeddedSpec) -> EmbeddedGraph:
 
 
 @dataclass(frozen=True)
-class Condition1Report:
-    """Every chord-plus-arc cycle must have odd length.  ``cycle_lengths[i]``
-    holds chord i's two: with its clockwise arc, then its counterclockwise."""
-
-    cycle_lengths: tuple[tuple[int, int], ...]
-    ok: bool
-
-
-@dataclass(frozen=True)
-class Condition2Report:
-    """Lengths of the n neighbouring-chord cycles, in chord order (the last
-    entry pairs the final chord with the first); each must be exactly 2L."""
-
-    lengths: tuple[int, ...]
-    ok: bool
-
-
-@dataclass(frozen=True)
 class ForbiddenCycle:
     """An even cycle shorter than 2L that disqualifies the embedding.
 
@@ -184,64 +159,90 @@ class ForbiddenCycle:
 
 
 @dataclass(frozen=True)
-class EmbeddednessReport:
-    """No chord+arc or neighbouring-chord cycle may be even with length < 2L."""
-
-    ok: bool
-    violations: tuple[ForbiddenCycle, ...]
-
-
-@dataclass(frozen=True)
 class ConditionReport:
-    """Everything known about one spec: validation, the three structural
-    checks, and the class they predict (None unless all checks pass)."""
+    """One spec's problems and cycle lengths; every verdict is read off them.
+
+    ``chord_arc_lengths[i]`` holds chord i's two chord-plus-arc cycles, with
+    its clockwise arc and then its counterclockwise one; ``adjacent_lengths``
+    the n neighbouring-chord cycles in chord order, the last pairing the
+    final chord with the first.  Both are None, and so is every verdict but
+    ``chord_valid``, when the shape, positivity, n range or arc sum is broken.
+    The sweep reads each verdict several times, so each is cached.
+    """
 
     spec: EmbeddedSpec
-    validation: SpecValidation
-    condition1: Condition1Report | None
-    condition2: Condition2Report | None
-    embeddedness: EmbeddednessReport | None
-    predicted_class: GeodeticClass | None
+    problems: tuple[str, ...]
+    chord_arc_lengths: tuple[tuple[int, int], ...] | None
+    adjacent_lengths: tuple[int, ...] | None
 
     @property
+    def chord_valid(self) -> bool:
+        return not self.problems
+
+    @cached_property
+    def condition1(self) -> bool | None:
+        """Every chord-plus-arc cycle is odd."""
+        if self.chord_arc_lengths is None:
+            return None
+        return all(cw % 2 and ccw % 2 for cw, ccw in self.chord_arc_lengths)
+
+    @cached_property
+    def condition2(self) -> bool | None:
+        """Every neighbouring-chord cycle has length exactly 2L."""
+        if self.adjacent_lengths is None:
+            return None
+        m = self.spec.cycle_length
+        return all(ln == m for ln in self.adjacent_lengths)
+
+    @cached_property
+    def embedded(self) -> bool | None:
+        """No chord-plus-arc or neighbouring-chord cycle is even and < 2L."""
+        if self.chord_arc_lengths is None:
+            return None
+        m = self.spec.cycle_length
+        lengths = chain(self.adjacent_lengths, *self.chord_arc_lengths)
+        return all(ln % 2 or ln >= m for ln in lengths)
+
+    @property
+    def violations(self) -> tuple[ForbiddenCycle, ...] | None:
+        """The cycles that break ``embedded``, chord-plus-arc ones first."""
+        if self.chord_arc_lengths is None:
+            return None
+        m, n = self.spec.cycle_length, self.spec.n
+        cycles = [
+            ForbiddenCycle("chord_arc", (i,), ln, side)
+            for i, pair in enumerate(self.chord_arc_lengths)
+            for side, ln in zip(("cw", "ccw"), pair)
+        ] + [
+            ForbiddenCycle("adjacent_chords", (i, (i + 1) % n), ln)
+            for i, ln in enumerate(self.adjacent_lengths)
+        ]
+        return tuple(c for c in cycles if c.length % 2 == 0 and c.length < m)
+
+    @cached_property
     def all_conditions_hold(self) -> bool:
-        return self.predicted_class is not None
+        """Chord-valid and both cycle conditions hold.  Embeddedness follows:
+        an odd cycle is never even, and a cycle of length 2L is never
+        shorter than 2L."""
+        return bool(self.chord_valid and self.condition1 and self.condition2)
+
+    @property
+    def predicted_class(self) -> GeodeticClass | None:
+        """Geodetic for n = 2, bigeodetic for n >= 3, when all conditions hold."""
+        return GeodeticClass(1 if self.spec.n == 2 else 2) if self.all_conditions_hold else None
 
 
 def evaluate_spec(spec: EmbeddedSpec) -> ConditionReport:
-    """Validate once and run all structural checks from one pass of arithmetic.
-
-    The checks read the same numbers: the two chord-plus-arc cycle lengths
-    of each chord and the n neighbouring-chord cycle lengths (chord i, chord
-    i+1 and the two arcs between their nearer endpoints, the arcs that carry
-    no other chord endpoint).  When all checks pass the class is geodetic for
-    n=2 and bigeodetic (K <= 2) for n >= 3.  The check fields stay None when
-    the spec's shape is too broken for the arithmetic to mean anything.
-    """
-    validation = validate_spec(spec)
-    if not validation.structure_ok:
-        return ConditionReport(spec, validation, None, None, None, None)
-    n, target, arcs, chords = spec.n, spec.cycle_length, spec.arcs, spec.chords
-    spans = [spec.clockwise_span(i) for i in range(n)]
-    chord_arc = tuple((c + cw, c + (target - cw)) for c, cw in zip(chords, spans))
-    violations: list[ForbiddenCycle] = []
-    for i, lengths in enumerate(chord_arc):
-        for side, ln in zip(("cw", "ccw"), lengths):
-            if ln % 2 == 0 and ln < target:
-                violations.append(ForbiddenCycle("chord_arc", (i,), ln, side))
-    adjacent = tuple(
-        arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] for i in range(n)
-    )
-    for i, ln in enumerate(adjacent):
-        if ln % 2 == 0 and ln < target:
-            violations.append(ForbiddenCycle("adjacent_chords", (i, (i + 1) % n), ln))
-    c1 = Condition1Report(chord_arc, all(ln % 2 for pair in chord_arc for ln in pair))
-    c2 = Condition2Report(adjacent, all(ln == target for ln in adjacent))
-    emb = EmbeddednessReport(not violations, tuple(violations))
-    predicted = None
-    if validation.ok and c1.ok and c2.ok and emb.ok:
-        predicted = GeodeticClass(1 if n == 2 else 2)
-    return ConditionReport(spec, validation, c1, c2, emb, predicted)
+    """Validate the spec and compute its cycle lengths in one pass: the spans
+    that decide chord validity give the chord-plus-arc cycles, and chords i
+    and i+1 close a cycle with the two arcs between their nearer endpoints."""
+    problems, spans = _problems_and_spans(spec)
+    if spans is None:
+        return ConditionReport(spec, problems, None, None)
+    n, m, arcs, chords = spec.n, spec.cycle_length, spec.arcs, spec.chords
+    chord_arc = tuple((c + cw, c + m - cw) for c, cw in zip(chords, spans))
+    adjacent = tuple(arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] for i in range(n))
+    return ConditionReport(spec, problems, chord_arc, adjacent)
 
 
 _SPEC_KEYS = ("L", "n", "arcs", "chords")

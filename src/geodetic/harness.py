@@ -227,7 +227,7 @@ def _finding(report: ConditionReport, pairs: PairPropertyReport) -> SweepFinding
     predicted = report.predicted_class
     if predicted is not None:
         consistent = pairs.holds and oracle.k <= predicted.k
-    elif report.embeddedness is not None and report.embeddedness.ok:
+    elif report.embedded:
         # An embedded chord system failing a cycle condition must break
         # the on-cycle pair property; that is the converse direction.
         consistent = not pairs.holds
@@ -273,10 +273,10 @@ def finding_record(f: SweepFinding) -> dict:
         "n": f.spec.n,
         "arcs": list(f.spec.arcs),
         "chords": list(f.spec.chords),
-        "chord_valid": f.report.validation.ok,
-        "condition1": f.report.condition1.ok if f.report.condition1 else None,
-        "condition2": f.report.condition2.ok if f.report.condition2 else None,
-        "embeddedness": f.report.embeddedness.ok if f.report.embeddedness else None,
+        "chord_valid": f.report.chord_valid,
+        "condition1": f.report.condition1,
+        "condition2": f.report.condition2,
+        "embeddedness": f.report.embedded,
         "predicted": f.report.predicted_class.label if f.report.predicted_class else None,
         "oracle_k": f.oracle.k,
         "oracle_class": f.oracle.label,

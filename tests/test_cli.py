@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -236,6 +237,19 @@ class TestSweep:
         assert len(records) == 6
         assert records[0]["spec"] == "L=2 n=2 arcs=1,1,1,1 chords=1,1"
         assert all(r["consistent"] for r in records)
+
+    def test_converse_findings_file_is_pinned(self, tmp_path, capsys):
+        # The whole L <= 4 converse findings file, every verdict bit of its
+        # 558 specs included.  The differential sweep tests compare against
+        # a referee that shares evaluate_spec and _finding, so a changed bit
+        # would pass them; it cannot pass this digest.
+        dest = tmp_path / "findings.jsonl"
+        rc = main(["sweep", "--lmax", "4", "--include-invalid", "-o", str(dest)])
+        assert rc == 0
+        assert "total: 558 specs, 0 inconsistent" in capsys.readouterr().out
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+            "5ac0f7f9c1a029cbdde7dbfe4c8333ad3f113fba4aeda6ee96fd7dd5a5e0d041"
+        )
 
     def test_include_invalid_stays_consistent(self, capsys):
         rc = main(["sweep", "--lmax", "3", "--include-invalid"])

@@ -50,6 +50,12 @@ class TestCycleView:
         with pytest.raises(GraphError, match="not an edge"):
             validate_cycle_in(g, CycleView.from_sequence((0, 1, 3)))
 
+    def test_cycle_outside_the_graph_rejected(self):
+        # The least vertex is looked up first, so it must not index past
+        # the adjacency list.
+        with pytest.raises(GraphError, match=r"\(7, 8\) is not an edge"):
+            validate_cycle_in(cycle_graph(6), CycleView((7, 8, 9)))
+
 
 class TestMinimalEvenCycles:
     def test_chorded_c8(self, c8_chord):

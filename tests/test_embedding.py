@@ -16,7 +16,6 @@ from geodetic import (
     evaluate_spec,
     format_spec_line,
     parse_spec_line,
-    validate_spec,
 )
 
 
@@ -77,37 +76,40 @@ class TestSpecGeometry:
 
 
 class TestValidateSpec:
+    """The problems ``evaluate_spec`` reports.  Broken structure leaves no
+    cycle lengths to read."""
+
     def test_fixture_specs_are_valid(self):
-        assert validate_spec(H1_SPEC).ok
-        assert validate_spec(H2_SPEC).ok
+        assert evaluate_spec(H1_SPEC).chord_valid
+        assert evaluate_spec(H2_SPEC).chord_valid
 
     def test_overlong_chord_rejected(self):
-        v = validate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (3, 1)))
-        assert not v.ok
-        assert v.structure_ok
+        v = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (3, 1)))
+        assert not v.chord_valid
+        assert v.chord_arc_lengths is not None and v.adjacent_lengths is not None
         assert v.problems == (
             "chord A1 has length 3, not strictly shorter than "
             "both arcs (3 and 3) between its endpoints",
         )
 
     def test_arc_sum_mismatch(self):
-        v = validate_spec(EmbeddedSpec(3, 2, (1, 1, 1, 1), (2, 1)))
-        assert not v.structure_ok
+        v = evaluate_spec(EmbeddedSpec(3, 2, (1, 1, 1, 1), (2, 1)))
+        assert v.chord_arc_lengths is None and v.adjacent_lengths is None
         assert "arcs sum to 4, expected 2L = 6" in v.problems
 
     def test_n_out_of_range(self):
-        v = validate_spec(EmbeddedSpec(2, 3, (1, 1, 1, 1, 0, 0), (1, 1, 1)))
-        assert not v.structure_ok
+        v = evaluate_spec(EmbeddedSpec(2, 3, (1, 1, 1, 1, 0, 0), (1, 1, 1)))
+        assert v.chord_arc_lengths is None and v.adjacent_lengths is None
         assert any("2 <= n <= L" in p for p in v.problems)
 
     def test_nonpositive_length(self):
-        v = validate_spec(EmbeddedSpec(3, 2, (0, 3, 2, 1), (2, 1)))
-        assert not v.structure_ok
+        v = evaluate_spec(EmbeddedSpec(3, 2, (0, 3, 2, 1), (2, 1)))
+        assert v.chord_arc_lengths is None and v.adjacent_lengths is None
         assert "arc and chord lengths must be positive" in v.problems
 
     def test_wrong_tuple_shapes(self):
-        v = validate_spec(EmbeddedSpec(3, 2, (1, 2, 2), (2,)))
-        assert not v.structure_ok
+        v = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2), (2,)))
+        assert v.chord_arc_lengths is None and v.adjacent_lengths is None
         assert "expected 4 arcs, got 3" in v.problems
         assert "expected 2 chords, got 1" in v.problems
 
@@ -150,42 +152,42 @@ class TestBuild:
 
 class TestCondition1:
     def test_h1(self, h1):
-        report = evaluate_spec(h1.spec).condition1
-        assert report.ok
-        assert report.cycle_lengths == ((5, 5), (5, 3))
+        report = evaluate_spec(h1.spec)
+        assert report.condition1
+        assert report.chord_arc_lengths == ((5, 5), (5, 3))
 
     def test_h2(self):
-        report = evaluate_spec(H2_SPEC).condition1
-        assert report.ok
-        assert report.cycle_lengths == ((5, 5),) * 3
+        report = evaluate_spec(H2_SPEC)
+        assert report.condition1
+        assert report.chord_arc_lengths == ((5, 5),) * 3
 
     def test_even_chord_arc_cycle_fails(self):
-        report = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 2))).condition1
-        assert not report.ok
-        assert report.cycle_lengths[1] == (6, 4)
-        assert not all(ln % 2 for ln in report.cycle_lengths[1])
+        report = evaluate_spec(EmbeddedSpec(3, 2, (1, 2, 2, 1), (2, 2)))
+        assert report.condition1 is False
+        assert report.chord_arc_lengths[1] == (6, 4)
+        assert not all(ln % 2 for ln in report.chord_arc_lengths[1])
 
 
 class TestCondition2:
     def test_h1(self, h1):
-        report = evaluate_spec(h1.spec).condition2
-        assert report.ok and report.lengths == (6, 6)
+        report = evaluate_spec(h1.spec)
+        assert report.condition2 and report.adjacent_lengths == (6, 6)
 
     def test_h2(self):
-        report = evaluate_spec(H2_SPEC).condition2
-        assert report.ok and report.lengths == (6, 6, 6)
+        report = evaluate_spec(H2_SPEC)
+        assert report.condition2 and report.adjacent_lengths == (6, 6, 6)
 
     def test_unequal_cycle_fails(self):
-        report = evaluate_spec(EmbeddedSpec(3, 2, (2, 1, 2, 1), (2, 1))).condition2
-        assert not report.ok
-        assert report.lengths == (7, 5)
+        report = evaluate_spec(EmbeddedSpec(3, 2, (2, 1, 2, 1), (2, 1)))
+        assert report.condition2 is False
+        assert report.adjacent_lengths == (7, 5)
 
     def test_holding_forces_chord_sum(self):
         # Arithmetic consequence: summing all n cycle equations gives
         # sum(chords) = L * (n - 1), whatever the chord validity.
         seen = 0
         for spec in small_specs():
-            if evaluate_spec(spec).condition2.ok:
+            if evaluate_spec(spec).condition2:
                 seen += 1
                 assert sum(spec.chords) == spec.L * (spec.n - 1)
         assert seen > 50
@@ -193,12 +195,12 @@ class TestCondition2:
 
 class TestEmbeddedness:
     def test_fixtures_pass(self, h1):
-        assert evaluate_spec(h1.spec).embeddedness.ok
-        assert evaluate_spec(H2_SPEC).embeddedness.ok
+        assert evaluate_spec(h1.spec).embedded
+        assert evaluate_spec(H2_SPEC).embedded
 
     def test_short_even_chord_arc_cycle(self):
-        report = evaluate_spec(EmbeddedSpec(4, 2, (2, 2, 2, 2), (2, 2))).embeddedness
-        assert not report.ok
+        report = evaluate_spec(EmbeddedSpec(4, 2, (2, 2, 2, 2), (2, 2)))
+        assert report.embedded is False
         first = report.violations[0]
         assert first.kind == "chord_arc"
         assert first.chord_indices == (0,)
@@ -207,15 +209,15 @@ class TestEmbeddedness:
 
     def test_short_even_adjacent_chord_cycle(self):
         # Chord cycle lengths (1+1+1+1, ...) = 4 < 8 and even.
-        report = evaluate_spec(EmbeddedSpec(4, 2, (1, 3, 1, 3), (1, 1))).embeddedness
-        assert not report.ok
+        report = evaluate_spec(EmbeddedSpec(4, 2, (1, 3, 1, 3), (1, 1)))
+        assert report.embedded is False
         assert any(v.kind == "adjacent_chords" and v.length == 4 for v in report.violations)
 
     def test_conditions_imply_embeddedness(self):
         for spec in small_specs():
             report = evaluate_spec(spec)
-            if report.condition1.ok and report.condition2.ok:
-                assert report.embeddedness.ok
+            if report.condition1 and report.condition2:
+                assert report.embedded
 
 
 class TestEvaluateSpec:
@@ -233,13 +235,14 @@ class TestEvaluateSpec:
         report = evaluate_spec(EmbeddedSpec(3, 2, (2, 1, 2, 1), (2, 1)))
         assert not report.all_conditions_hold
         assert report.predicted_class is None
-        assert report.condition2 is not None and not report.condition2.ok
+        assert report.condition2 is False
 
     def test_broken_structure_reports_no_checks(self):
         report = evaluate_spec(EmbeddedSpec(3, 2, (1, 1, 1, 1), (2, 1)))
         assert report.condition1 is None
         assert report.condition2 is None
-        assert report.embeddedness is None
+        assert report.embedded is None
+        assert report.violations is None
         assert report.predicted_class is None
 
     @settings(max_examples=200)
@@ -249,7 +252,7 @@ class TestEvaluateSpec:
     def test_matches_inline_arithmetic(self, spec):
         """Every field derived from the spec arithmetic, re-derived inline."""
         report = evaluate_spec(spec)
-        if not report.validation.structure_ok:
+        if report.chord_arc_lengths is None:
             assert report.condition1 is None and report.predicted_class is None
             return
         L, n, arcs, chords = spec.L, spec.n, spec.arcs, spec.chords
@@ -275,12 +278,13 @@ class TestEvaluateSpec:
             and all(ln == m for ln in adjacent)
             and not violations
         )
-        assert list(report.condition1.cycle_lengths) == chord_arc
-        assert list(report.condition2.lengths) == adjacent
+        assert list(report.chord_arc_lengths) == chord_arc
+        assert list(report.adjacent_lengths) == adjacent
         assert [
             (v.kind, v.chord_indices, v.length, v.arc_side)
-            for v in report.embeddedness.violations
+            for v in report.violations
         ] == violations
+        assert report.embedded == (not violations)
         expected = GeodeticClass(1 if n == 2 else 2) if holds else None
         assert report.predicted_class == expected
         assert report.all_conditions_hold == holds

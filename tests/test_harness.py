@@ -291,6 +291,10 @@ class TestFindChordSystem:
         with pytest.raises(GraphError, match="not an edge"):
             find_chord_system(cycle_graph(6), CycleView.from_sequence((0, 2, 4, 1)))
 
+    def test_cycle_outside_the_graph_rejected(self):
+        with pytest.raises(GraphError, match="not an edge"):
+            find_chord_system(cycle_graph(6), CycleView((7, 8, 9)))
+
 
 SEARCH_LIMITS = (
     SearchLimits(),
@@ -537,7 +541,7 @@ class TestSweepValidate:
         }
         f = findings[BOUNDARY_SPEC]
         assert not f.report.all_conditions_hold
-        assert f.report.embeddedness is not None and f.report.embeddedness.ok
+        assert f.report.embedded
         assert not f.pair_property.holds
         assert f.consistent
 
@@ -546,7 +550,7 @@ class TestSweepValidate:
 
         evaluated: Counter = Counter()
         validations = 0
-        real_evaluate, real_validate = embedding.evaluate_spec, embedding.validate_spec
+        real_evaluate, real_validate = embedding.evaluate_spec, embedding._problems_and_spans
 
         def counting_evaluate(spec):
             evaluated[spec] += 1
@@ -558,7 +562,7 @@ class TestSweepValidate:
             return real_validate(spec)
 
         monkeypatch.setattr(harness, "evaluate_spec", counting_evaluate)
-        monkeypatch.setattr(embedding, "validate_spec", counting_validate)
+        monkeypatch.setattr(embedding, "_problems_and_spans", counting_validate)
         findings = list(sweep_validate(SweepBounds(4)))
         assert len(findings) == 23
         assert sum(evaluated.values()) == 23  # every candidate is yielded
