@@ -148,9 +148,13 @@ def load_edge_list(path: str | Path) -> Graph:
     lines touch at most 2k vertices, so a larger vertex id leaves a vertex
     on no edge and the graph disconnected.  Such a file is refused before
     an adjacency set is allocated per id, so one huge id cannot exhaust
-    memory.
+    memory.  A file that is not UTF-8 text is refused too.
     """
-    edges = _edge_lines(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise GraphError(f"{path} is not UTF-8 text") from None
+    edges = _edge_lines(text)
     if not edges:
         raise GraphError("no edge lines, so the graph has no vertex")
     top = max(map(max, edges))

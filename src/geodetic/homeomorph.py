@@ -2,19 +2,28 @@
 
 A *node* is a vertex of degree >= 3; a *segment* is a path between nodes
 whose interior vertices all have degree 2.  A graph homeomorphic to K4
-(four degree-3 nodes joined pairwise by six segments) is geodetic exactly
-when
+(four degree-3 nodes a < b < c < d joined pairwise by six segments, of
+lengths ab, ac, ad, bc, bd, cd) is geodetic exactly when
 
-1. each segment is a shortest path between its endpoints,
-2. the four cycles made of three segments all have odd length, and
-3. the three cycles made of four segments all have equal length.
+1. each segment is a shortest path between its endpoints: on each of the
+   four triangles abc, abd, acd, bcd the longest side is at most the sum of
+   the other two (a route through two other nodes is then no shorter
+   either),
+2. the four cycles made of three segments all have odd length: each
+   triangle's sum is odd, and
+3. the three cycles made of four segments all have equal length: each
+   leaves out one opposite pair of segments from the fixed total, so
+   ab + cd == ac + bd == ad + bc.
+
+Each condition is arithmetic on the six lengths; no graph search runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graphs import Graph, GraphError, _bfs_counts, _chains, is_connected
+from .graphs import Graph, GraphError, _chains, is_connected
 
 
 @dataclass(frozen=True)
@@ -30,13 +39,6 @@ class SegmentDecomposition:
     segments: tuple[tuple[int, ...], ...]
 
 
-def _walk_segments(g: Graph, degs: list[int]) -> SegmentDecomposition:
-    """The nodes and every segment, each walked from its first node."""
-    nodes = tuple(v for v, d in enumerate(degs) if d >= 3)
-    segments = tuple((a, *inner, b) for a, b, inner in _chains(g.adjacency, nodes))
-    return SegmentDecomposition(nodes, segments)
-
-
 def decompose_segments(g: Graph) -> SegmentDecomposition:
     """Split a connected graph with minimum degree 2 into segments."""
     if not is_connected(g):
@@ -47,20 +49,9 @@ def decompose_segments(g: Graph) -> SegmentDecomposition:
     for v, d in enumerate(degs):
         if d < 2:
             raise GraphError(f"vertex {v} has degree {d}; it lies on no node-to-node segment")
-    return _walk_segments(g, degs)
-
-
-def _k4_segments(g: Graph) -> SegmentDecomposition | None:
-    """The segments of ``g`` if it is a K4 subdivision, else None."""
-    degs = [g.degree(v) for v in g.vertices()]
-    if degs.count(3) != 4 or any(d not in (2, 3) for d in degs) or not is_connected(g):
-        return None
-    dec = _walk_segments(g, degs)
-    # Four degree-3 nodes have 12 segment ends, so there are six segments;
-    # K4's six node pairs must each be joined by one of them.
-    if len({frozenset((s[0], s[-1])) for s in dec.segments if s[0] != s[-1]}) != 6:
-        return None
-    return dec
+    nodes = tuple(v for v, d in enumerate(degs) if d >= 3)
+    segments = tuple((a, *inner, b) for a, b, inner in _chains(g.adjacency, nodes))
+    return SegmentDecomposition(nodes, segments)
 
 
 @dataclass(frozen=True)
@@ -75,35 +66,24 @@ class Theorem1Report:
     verdict_geodetic: bool | None
 
 
-def three_segment_cycles(nodes: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    a, b, c, d = nodes
-    return [(a, b, c), (a, b, d), (a, c, d), (b, c, d)]
-
-
-def four_segment_cycles(nodes: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    a, b, c, d = nodes
-    return [(a, b, c, d), (a, b, d, c), (a, c, b, d)]
-
-
 def theorem1_check(g: Graph) -> Theorem1Report:
-    """Evaluate the K4-subdivision geodeticity conditions."""
-    dec = _k4_segments(g)
-    if dec is None:
+    """Evaluate the K4-subdivision geodeticity conditions.
+
+    The graph is a K4 subdivision when four vertices have degree 3, the
+    rest degree 2, and the chains between the four join all six pairs and
+    cover every vertex.  Each component holds an even number of odd-degree
+    vertices, so six pairs put the four in one component."""
+    degs = [g.degree(v) for v in g.vertices()]
+    nodes = [v for v, d in enumerate(degs) if d == 3]
+    if len(nodes) != 4 or degs.count(2) != len(degs) - 4:
         return Theorem1Report(False, None, None, None, None)
-    seg_len = {frozenset((s[0], s[-1])): len(s) - 1 for s in dec.segments}
-    dist = {v: _bfs_counts(g, v, g.vertex_count)[0] for v in dec.nodes}
-    cond1 = all(len(s) - 1 == dist[s[0]][s[-1]] for s in dec.segments)
-
-    def span(x: int, y: int) -> int:
-        return seg_len[frozenset((x, y))]
-
-    cond2 = all(
-        (span(x, y) + span(y, z) + span(x, z)) % 2 == 1
-        for x, y, z in three_segment_cycles(dec.nodes)
-    )
-    ring_lengths = {
-        span(p, q) + span(q, r) + span(r, s) + span(s, p)
-        for p, q, r, s in four_segment_cycles(dec.nodes)
-    }
-    cond3 = len(ring_lengths) == 1
+    chains = _chains(g.adjacency, nodes)
+    span = {frozenset((a, b)): len(inner) + 1 for a, b, inner in chains if a != b}
+    if len(span) != 6 or 4 + sum(len(inner) for *_, inner in chains) != len(degs):
+        return Theorem1Report(False, None, None, None, None)
+    ab, ac, ad, bc, bd, cd = (span[frozenset(pair)] for pair in combinations(nodes, 2))
+    triangles = ((ab, bc, ac), (ab, bd, ad), (ac, cd, ad), (bc, cd, bd))
+    cond1 = all(2 * max(t) <= sum(t) for t in triangles)
+    cond2 = all(sum(t) % 2 == 1 for t in triangles)
+    cond3 = ab + cd == ac + bd == ad + bc
     return Theorem1Report(True, cond1, cond2, cond3, cond1 and cond2 and cond3)

@@ -55,18 +55,31 @@ def write_findings(out: TextIO, header: dict, records: Iterable[dict]) -> int:
 
 def _findings(path: str | Path) -> Iterator[dict]:
     """Yield the checked header of a findings file, then its records, one
-    line at a time; a bad line raises ReportError with its line number."""
-    with open(path) as text:
+    line at a time; a line that is not UTF-8 text or not valid JSON raises
+    ReportError with its line number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as text:
         lines = ((lineno, line) for lineno, line in enumerate(text, start=1) if line.strip())
         first = next(lines, None)
         if first is None:
             raise ReportError("findings file has no header line")
-        yield load_report(first[1])
+        yield load_report(_utf8(*first))
         for lineno, line in lines:
             try:
-                yield json.loads(line)
+                yield json.loads(_utf8(lineno, line))
             except json.JSONDecodeError as exc:
                 raise ReportError(f"line {lineno}: not valid JSON: {exc}") from None
+
+
+def _utf8(lineno: int, line: str) -> str:
+    """``line``, unless the file held bytes there that are not UTF-8:
+    decoding turned each into a lone surrogate, which cannot be encoded.
+    Checked line by line, so the records before such a line are still
+    read."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ReportError(f"line {lineno}: not UTF-8 text") from None
+    return line
 
 
 def iter_findings(path: str | Path) -> Iterator[dict]:

@@ -52,6 +52,13 @@ def standard_corpus() -> tuple[Graph, ...]:
     return exhaustive + seeded_samples(6, 60, seed=601) + seeded_samples(7, 40, seed=701)
 
 
+def relabel(rng: random.Random, g: Graph) -> Graph:
+    """``g`` under a random permutation of its vertices."""
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def hoffman_singleton_graph() -> Graph:
     """The Hoffman-Singleton graph (50 vertices, 175 edges, girth 5,
     diameter 2): pentagons ``P_h[i] = 5h + i`` with i ~ i+1, pentagrams

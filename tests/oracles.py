@@ -6,12 +6,15 @@ best-length bound, never from BFS multiplicity accumulation, cycles
 from testing every cyclic vertex arrangement, sweep specs from
 evaluating every chord tuple, or at larger L from solving condition 2 on
 every arc composition, never from the composition bijection, and chord
-systems from trying every 2n-subset of a cycle's positions.  Agreement
-between these and the fast implementations is therefore meaningful
-evidence.  The two exceptions run a plain BFS from every vertex, without
-the 2-core and chain reductions that ``count_geodesics`` and
-``lemma1_scan`` share, and referee those on graphs too large for path
-enumeration: ``bfs_count_geodesics`` and ``bfs_lemma1``.
+systems from trying every 2n-subset of a cycle's positions, and candidate
+chords from a depth-first search with no depth bound.  Agreement between
+these and the fast implementations is therefore meaningful evidence.
+Three exceptions use breadth-first search.  ``bfs_count_geodesics`` and
+``bfs_lemma1`` run a plain BFS from every vertex, without the 2-core and
+chain reductions that ``count_geodesics`` and ``lemma1_scan`` share, and
+referee those on graphs too large for path enumeration;
+``bfs_theorem1_check`` reads the K4 criterion's condition 1 off BFS
+distances, not off the segment-length arithmetic of ``theorem1_check``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from geodetic.harness import (
 )
 from geodetic.cycles import Lemma1Verdict
 from geodetic.geodesics import GeodesicProfile
-from geodetic.graphs import _bfs_counts
+from geodetic.graphs import _bfs_counts, _chains
+from geodetic.homeomorph import Theorem1Report
 
 
 def brute_shortest_paths(g: Graph, u: int, v: int) -> tuple[int | None, list[tuple[int, ...]]]:
@@ -200,6 +204,33 @@ def bfs_lemma1(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
     return Lemma1Verdict(witness, scanned, exhaustive, (u, v))
 
 
+def bfs_theorem1_check(g: Graph) -> Theorem1Report:
+    """``theorem1_check`` with a connectivity BFS in its shape test and a
+    BFS from each node for condition 1: a segment is a geodesic when its
+    length is its ends' BFS distance.  Conditions 2 and 3 sum the segments
+    of every three-segment and four-segment cycle."""
+    degs = [g.degree(v) for v in g.vertices()]
+    if degs.count(3) != 4 or any(d not in (2, 3) for d in degs) or not is_connected(g):
+        return Theorem1Report(False, None, None, None, None)
+    nodes = tuple(v for v, d in enumerate(degs) if d == 3)
+    segments = [(a, *inner, b) for a, b, inner in _chains(g.adjacency, nodes)]
+    # Four degree-3 nodes have 12 segment ends, so there are six segments;
+    # K4's six node pairs must each be joined by one of them.
+    if len({frozenset((s[0], s[-1])) for s in segments if s[0] != s[-1]}) != 6:
+        return Theorem1Report(False, None, None, None, None)
+    seg_len = {frozenset((s[0], s[-1])): len(s) - 1 for s in segments}
+    dist = {v: _bfs_counts(g, v, g.vertex_count)[0] for v in nodes}
+    cond1 = all(len(s) - 1 == dist[s[0]][s[-1]] for s in segments)
+
+    def span(*cycle: int) -> int:
+        return sum(seg_len[frozenset(pair)] for pair in zip(cycle, cycle[1:] + cycle[:1]))
+
+    a, b, c, d = nodes
+    cond2 = all(span(*t) % 2 == 1 for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)))
+    cond3 = len({span(a, b, c, d), span(a, b, d, c), span(a, c, b, d)}) == 1
+    return Theorem1Report(True, cond1, cond2, cond3, cond1 and cond2 and cond3)
+
+
 def brute_enumerate_specs(bounds: SweepBounds) -> Iterator[ConditionReport]:
     """The spec sweep by generate and test: every arc composition with
     every chord tuple in [1, L-1]^n, each evaluated and kept when the
@@ -265,6 +296,32 @@ def brute_sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
     this loop stays an independent check of it."""
     for report in enumerate_specs(bounds):
         yield _finding(report, theorem2_pair_property(build(report.spec)))
+
+
+def brute_candidate_chords(g: Graph, c: CycleView) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """Every path between two vertices of ``c`` whose inner vertices are all
+    off ``c`` and which is strictly shorter than both arcs between its ends,
+    by depth-first search over every such simple path with no depth bound.
+    Keyed by (position, position), lower first, each path listed from its
+    lower-position end; values sorted by (length, path)."""
+    m = c.length
+    pos = {v: i for i, v in enumerate(c.vertices)}
+    found: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def extend(path: list[int]) -> None:
+        for w in g.neighbors(path[-1]):
+            if w in path:
+                continue
+            if w not in pos:
+                extend(path + [w])
+                continue
+            pa, pb, length = pos[path[0]], pos[w], len(path)
+            if pa < pb and length < pb - pa and length < m - (pb - pa):
+                found.setdefault((pa, pb), []).append(tuple(path + [w]))
+
+    for a in c.vertices:
+        extend([a])
+    return {key: sorted(paths, key=lambda p: (len(p), p)) for key, paths in found.items()}
 
 
 def brute_find_chord_system(g: Graph, c: CycleView, limits: SearchLimits) -> ChordSystemSearch:

@@ -414,6 +414,16 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: no edge lines, so the graph has no vertex\n"
 
+    @pytest.mark.parametrize("command", ["classify", "lemma1", "k4-check", "cor4"])
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.edges"
+        path.write_bytes(b"\xff\xfe0 1\n1 2\n2 0\n")
+        rc = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not UTF-8 text\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

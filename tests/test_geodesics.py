@@ -24,7 +24,7 @@ from geodetic import (
 from geodetic.cycles import _least_repeat
 from geodetic.geodesics import _row_max, _source_rows
 from conftest import engine_rows
-from corpus import hoffman_singleton_graph, one_point_union, seeded_samples, standard_corpus
+from corpus import hoffman_singleton_graph, one_point_union, relabel, seeded_samples, standard_corpus
 from oracles import bfs_count_geodesics, bfs_lemma1, brute_k, brute_shortest_paths
 
 edge_pairs = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1])
@@ -109,12 +109,6 @@ class TestCountGeodesics:
         assert p.witness_distance == dist[p.witness_pair[0]][p.witness_pair[1]]
 
 
-def _relabel(rng: random.Random, g):
-    perm = list(g.vertices())
-    rng.shuffle(perm)
-    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _with_trees(rng: random.Random, g, count: int):
     """``g`` with ``count`` new vertices, each hung from an earlier vertex."""
     n = g.vertex_count
@@ -157,7 +151,7 @@ def _random_trees(rng: random.Random):
 
 def _cycles_with_trees(rng: random.Random):
     return [
-        _relabel(rng, _with_trees(rng, cycle_graph(n), rng.randint(1, 2 * n)))
+        relabel(rng, _with_trees(rng, cycle_graph(n), rng.randint(1, 2 * n)))
         for n in range(3, 30)
         for _ in range(3)
     ]
@@ -170,7 +164,7 @@ def _subdivided_bases(rng: random.Random):
     graphs = [
         _joined(g.vertex_count, [(u, v, rng.randint(1, 5)) for u, v in g.edges()]) for g in bases
     ]
-    graphs += [_relabel(rng, _with_trees(rng, g, rng.randint(0, 6))) for g in graphs]
+    graphs += [relabel(rng, _with_trees(rng, g, rng.randint(0, 6))) for g in graphs]
     graphs += [_joined(2, [(0, 1, length) for length in lengths]) for lengths in (
         (3, 3, 3), (4, 4, 4), (4, 4, 6), (5, 5), (5, 5, 5, 5), (3, 5, 7), (2, 4, 4), (6, 6, 2),
     )]

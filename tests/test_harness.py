@@ -34,8 +34,9 @@ from geodetic import (
     sweep_validate,
     theorem2_pair_property,
 )
-from geodetic.harness import _orbit_key, compositions
+from geodetic.harness import _candidate_chords, _orbit_key, compositions
 from oracles import (
+    brute_candidate_chords,
     brute_cycles,
     brute_enumerate_specs,
     brute_find_chord_system,
@@ -359,6 +360,30 @@ class TestFindChordSystemMatchesBruteForce:
         assert find_chord_system(petersen, eight).system is None
         assert any(r.system is not None for r in results)
         assert any(r.system is None and r.exhausted and r.combinations_tried for r in results)
+
+
+def test_candidate_chords_match_uncapped_depth_first_search(corpus, petersen):
+    # brute_find_chord_system shares _candidate_chords with the search, so
+    # this referee, with no depth cap and no shared code, checks it alone:
+    # on every even cycle of the small graphs, and on the base cycle of
+    # chorded cycles whose chords are paths of length 3 and 4.
+    cases = [
+        (g, CycleView(seq))
+        for g in [*corpus, petersen, *seeded_samples(8, 6, seed=802)]
+        for seq in sorted(brute_cycles(g))
+        if len(seq) % 2 == 0
+    ]
+    for m, a in ((8, 4), (10, 4), (12, 5)):
+        g = cycle_with_chord(m, 0, a, chord_length=a - 1)
+        cases.append((g, CycleView(tuple(range(m)))))
+    lengths, without = set(), 0
+    for g, c in cases:
+        expected = brute_candidate_chords(g, c)
+        assert _candidate_chords(g, c, 10**9) == (expected, False), (g.edges(), c)
+        lengths.update(len(p) - 1 for pool in expected.values() for p in pool)
+        without += not expected
+    assert lengths == {1, 2, 3, 4}
+    assert without > 0
 
 
 class TestCorollary4Check:

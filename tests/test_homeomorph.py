@@ -1,21 +1,40 @@
 from __future__ import annotations
 
-from itertools import product
+import dataclasses
+import random
+from itertools import combinations, product
 
 import pytest
 
 from geodetic import (
+    EmbeddedSpec,
+    Graph,
     GraphError,
     complete_graph,
     cycle_graph,
     cycle_with_chord,
     decompose_segments,
+    evaluate_spec,
     from_edge_list,
+    petersen_graph,
     subdivided_k4,
     theorem1_check,
 )
-from geodetic.homeomorph import four_segment_cycles, three_segment_cycles
-from oracles import brute_k
+from corpus import relabel
+from oracles import bfs_theorem1_check, brute_k
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, shift = [], 0
+    for part in parts:
+        edges += [(u + shift, v + shift) for u, v in part.edges()]
+        shift += part.vertex_count
+    return from_edge_list(edges, vertex_count=shift)
+
+
+K3 = complete_graph(3)
+# Three paths, of lengths 2, 3 and 4, between vertices 0 and 1.
+THETA = from_edge_list([(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7), (7, 1)])
 
 
 class TestDecomposeSegments:
@@ -96,26 +115,6 @@ class TestIsHomeomorphicToK4:
         assert not theorem1_check(complete_graph(5)).is_k4_homeomorph
 
 
-class TestCycleTemplates:
-    def test_counts(self):
-        nodes = (0, 1, 3, 5)
-        assert len(three_segment_cycles(nodes)) == 4
-        assert len(four_segment_cycles(nodes)) == 3
-
-    def test_each_pair_lies_on_two_cycles_of_each_kind(self):
-        nodes = (0, 1, 3, 5)
-        pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1 :]]
-
-        def ring_pairs(cycle):
-            return {frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))}
-
-        for x, y in pairs:
-            key = frozenset((x, y))
-            tri = sum(key in ring_pairs(c) for c in three_segment_cycles(nodes))
-            quad = sum(key in ring_pairs(c) for c in four_segment_cycles(nodes))
-            assert (tri, quad) == (2, 2)
-
-
 class TestTheorem1Check:
     def test_complete4(self):
         report = theorem1_check(complete_graph(4))
@@ -144,29 +143,95 @@ class TestTheorem1Check:
         assert report.verdict_geodetic is None
 
     def test_verdict_matches_oracle_on_short_subdivisions(self):
-        # All 64 subdivisions with segment lengths 1 or 2, against the
-        # exhaustive path-counting oracle.
-        agreements = 0
-        for lengths in product((1, 2), repeat=6):
+        # All 729 subdivisions with segment lengths 1 to 3, against the
+        # exhaustive path-counting oracle.  Length 3 makes some segments
+        # longer than a route through another node, so each condition
+        # both holds and fails somewhere.
+        seen = set()
+        for lengths in product((1, 2, 3), repeat=6):
             g = subdivided_k4(lengths)
-            verdict = theorem1_check(g).verdict_geodetic
-            assert verdict == (brute_k(g)[0] == 1)
-            agreements += 1
-        assert agreements == 64
+            report = theorem1_check(g)
+            assert report.verdict_geodetic == (brute_k(g)[0] == 1), lengths
+            seen.add(dataclasses.astuple(report)[1:4])
+        for bit in range(3):
+            assert {bits[bit] for bits in seen} == {True, False}
 
-    def test_one_connectivity_check_per_call(self, monkeypatch):
-        from geodetic import homeomorph
+    def test_runs_no_breadth_first_search(self, monkeypatch):
+        from geodetic import graphs, homeomorph
 
-        calls = 0
-        real_is_connected = homeomorph.is_connected
+        def no_bfs(*args):
+            raise AssertionError("theorem1_check ran a breadth-first search")
 
-        def counting_is_connected(g):
-            nonlocal calls
-            calls += 1
-            return real_is_connected(g)
-
-        monkeypatch.setattr(homeomorph, "is_connected", counting_is_connected)
+        assert not hasattr(homeomorph, "_bfs_counts")
+        monkeypatch.setattr(graphs, "_bfs_counts", no_bfs)
         for g in (subdivided_k4((2, 1, 1, 1, 1, 1)), complete_graph(4)):
-            calls = 0
             assert theorem1_check(g).is_k4_homeomorph
-            assert calls == 1
+        for g in (cycle_graph(6), complete_graph(5), disjoint_union(complete_graph(4), K3)):
+            assert not theorem1_check(g).is_k4_homeomorph
+
+
+class TestTheorem1MatchesBfsReferee:
+    """The segment-length arithmetic of ``theorem1_check`` against
+    ``bfs_theorem1_check``, which tests connectivity and condition 1 by
+    breadth-first search: every report field must agree."""
+
+    def test_short_subdivisions_and_relabellings(self):
+        rng = random.Random(2023)
+        checked = 0
+        for lengths in product((1, 2, 3, 4), repeat=6):
+            g = subdivided_k4(lengths)
+            for h in (g, relabel(rng, g)):
+                report = theorem1_check(h)
+                assert report.is_k4_homeomorph
+                assert dataclasses.astuple(report) == dataclasses.astuple(bfs_theorem1_check(h))
+                checked += 1
+        assert checked == 8192
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            from_edge_list([(0, i) for i in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (4, 1)]),
+            disjoint_union(complete_graph(4), K3),
+            from_edge_list([*complete_graph(4).edges(), (0, 4)]),
+            THETA,
+            disjoint_union(THETA, THETA),
+            complete_graph(5),
+            petersen_graph(),
+            cycle_graph(6),
+            cycle_with_chord(8, 0, 4),
+        ],
+        ids=["W4", "K4+K3", "K4+pendant", "theta", "2theta", "K5", "petersen", "C6", "C8+chord"],
+    )
+    def test_other_shapes(self, g):
+        report = theorem1_check(g)
+        assert not report.is_k4_homeomorph
+        assert dataclasses.astuple(report) == dataclasses.astuple(bfs_theorem1_check(g))
+
+
+class TestTheorem1IsTheTwoChordCase:
+    """A measured consequence of the paper's claim, not a new claim: a K4
+    subdivision is an even cycle (any ring of four segments) carrying the
+    two segments left out as an interleaved two-chord system, so the K4
+    test agrees with conditions 1 and 2 on each of its three rings."""
+
+    # The rings through nodes 0..3 of subdivided_k4, as (p, q, r, s).
+    RINGS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
+
+    def test_every_ring_of_short_subdivisions(self):
+        checked = geodetic = 0
+        for lengths in product((1, 2, 3, 4), repeat=6):
+            verdict = theorem1_check(subdivided_k4(lengths)).verdict_geodetic
+            geodetic += verdict
+            span = {}
+            for (x, y), length in zip(combinations(range(4), 2), lengths):
+                span[x, y] = span[y, x] = length
+            for p, q, r, s in self.RINGS:
+                arcs = (span[p, q], span[q, r], span[r, s], span[s, p])
+                ring = sum(arcs)
+                holds = ring % 2 == 0 and evaluate_spec(
+                    EmbeddedSpec(ring // 2, 2, arcs, (span[p, r], span[q, s]))
+                ).all_conditions_hold
+                assert verdict == holds, (lengths, (p, q, r, s))
+                checked += 1
+        assert checked == 3 * 4096
+        assert 0 < geodetic < 4096

@@ -110,6 +110,21 @@ class TestFindingsFiles:
         with pytest.raises(ReportError, match="no header line"):
             read_findings(path)
 
+    def test_file_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(make_report("sweep-findings", {})).encode())
+        with pytest.raises(ReportError, match="line 1: not UTF-8 text"):
+            read_findings(path)
+
+    def test_iter_findings_streams_up_to_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "garbled.json"
+        header = json.dumps(make_report("sweep-findings", {}))
+        path.write_bytes(f'{header}\n{{"spec": "a"}}\n'.encode() + b'{"spec": "\xff"}\n')
+        records = iter_findings(path)
+        assert next(records) == {"spec": "a"}
+        with pytest.raises(ReportError, match="line 3: not UTF-8 text"):
+            next(records)
+
     def test_iter_findings(self, tmp_path):
         path = tmp_path / "findings.json"
         with open(path, "w") as out:
