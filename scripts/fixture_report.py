@@ -3,7 +3,8 @@ shortest-path multiplicity, the even-cycle witness scan (exhaustive and
 capped at length 6), the chord-system certification outcome, the distinct
 chord systems matched on its minimal even cycles, and the K4-subdivision
 test's verdict.  Then print the ``check-embedded`` text and exit code for
-one spec line per branch of its report.
+one spec line per branch of its report, and the exact ``--json`` bytes of
+a few reports, so that the JSON emitter's output is pinned too.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -17,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
+from pathlib import Path
 
 from geodetic import (
     EmbeddedSpec,
@@ -27,6 +30,7 @@ from geodetic import (
     count_geodesics,
     cycle_graph,
     cycle_with_chord,
+    format_edge_list,
     format_spec_line,
     from_edge_list,
     lemma1_scan,
@@ -76,6 +80,13 @@ CHECK_EMBEDDED = [
     ("short even neighbouring-chord cycle", "L=4 n=2 arcs=1,3,1,3 chords=1,1"),
 ]
 
+# Reports printed with --json, byte for byte: (command, fixture name).
+JSON_REPORTS = [
+    ("cor4", "Petersen graph"),
+    ("cor4", "C8 with a unit chord"),
+    ("classify", "C22 with a chord of length 8"),
+]
+
 
 def describe(name: str, g) -> None:
     profile = count_geodesics(g)
@@ -120,6 +131,14 @@ def describe(name: str, g) -> None:
         print(f"  K4 test: {'geodetic' if k4.verdict_geodetic else 'not geodetic'}")
 
 
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """The exit code and standard output of one command-line call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
 def main() -> int:
     for name, g in FIXTURES:
         describe(name, g)
@@ -127,12 +146,18 @@ def main() -> int:
         h = build(spec)
         describe(f"embedded even graph {format_spec_line(spec)}", h.graph)
     for name, line in CHECK_EMBEDDED:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(["check-embedded", "--spec", line])
+        code, out = run_cli(["check-embedded", "--spec", line])
         print(f"check-embedded, {name}: exit code {code}")
-        for text in out.getvalue().splitlines():
+        for text in out.splitlines():
             print(f"  {text}")
+    graphs = dict(FIXTURES)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, name in JSON_REPORTS:
+            path = Path(tmp) / "graph.edges"
+            path.write_text(format_edge_list(graphs[name]))
+            code, out = run_cli([command, "--json", str(path)])
+            print(f"{command} --json, {name}: exit code {code}")
+            print(out, end="")
     return 0
 
 

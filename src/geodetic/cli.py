@@ -24,6 +24,7 @@ from .embedding import (
 from .geodesics import GeodeticClass, count_geodesics, enumerate_geodesics
 from .graphs import GraphError, format_edge_list, load_edge_list
 from .harness import (
+    Corollary4Report,
     SearchLimits,
     SweepBounds,
     SweepFinding,
@@ -269,42 +270,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return OK if inconsistent == 0 else WITNESS
 
 
-def _cmd_cor4(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.graph)
-    limits = SearchLimits(
-        max_paths_per_pair=args.max_paths,
-        max_combinations=args.max_combos,
-        max_cycle_length=args.max_cycle_len,
-    )
-    report = corollary4_check(g, limits)
-    verdicts, scanned, exhaustive = report.verdicts, report.scanned_max_length, report.exhaustive
-    certified = any(v.certified_nongeodetic for v in verdicts)
-    payload = {
-        "verdicts": [
-            {
-                "cycle": list(v.cycle.vertices),
-                "chord_system": format_spec_line(v.match.spec) if v.match else None,
-                "node_vertices": list(v.match.node_vertices) if v.match else None,
-                "chord_paths": [list(p) for p in v.match.chord_paths] if v.match else None,
-                "search_exhausted": v.search_exhausted,
-                "certified_nongeodetic": v.certified_nongeodetic,
-            }
-            for v in verdicts
-        ],
-        "oracle_k": report.oracle_k,
-        "certified_nongeodetic": certified,
-        "scanned_max_length": scanned,
-        "exhaustive": exhaustive,
-    }
+def _cor4_text(report: Corollary4Report, certified: bool) -> list[str]:
+    """The text lines of ``cor4``, built only when no ``--json`` is asked
+    for: on a dense graph they format hundreds of cycles."""
     text = []
-    if not verdicts:
+    if not report.verdicts:
         text.append(
             "no even cycle found; nothing to certify"
-            if exhaustive
-            else f"no even cycle up to length {scanned}; the scan was capped, "
-            "so the result is inconclusive"
+            if report.exhaustive
+            else f"no even cycle up to length {report.scanned_max_length}; the scan was "
+            "capped, so the result is inconclusive"
         )
-    for v in verdicts:
+    for v in report.verdicts:
         head = f"minimal even cycle {' '.join(str(x) for x in v.cycle.vertices)}: "
         if v.match:
             text.append(head + f"chord system found ({format_spec_line(v.match.spec)})")
@@ -321,7 +298,37 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
             f"no certification (oracle K={report.oracle_k}): cor4 checks only minimal "
             "even cycles, so this is not a verdict that the graph is geodetic"
         )
-    _emit(args, payload, text)
+    return text
+
+
+def _cmd_cor4(args: argparse.Namespace) -> int:
+    g = load_edge_list(args.graph)
+    limits = SearchLimits(
+        max_paths_per_pair=args.max_paths,
+        max_combinations=args.max_combos,
+        max_cycle_length=args.max_cycle_len,
+    )
+    report = corollary4_check(g, limits)
+    verdicts = report.verdicts
+    certified = any(v.certified_nongeodetic for v in verdicts)
+    payload = {
+        "verdicts": [
+            {
+                "cycle": list(v.cycle.vertices),
+                "chord_system": format_spec_line(v.match.spec) if v.match else None,
+                "node_vertices": list(v.match.node_vertices) if v.match else None,
+                "chord_paths": [list(p) for p in v.match.chord_paths] if v.match else None,
+                "search_exhausted": v.search_exhausted,
+                "certified_nongeodetic": v.certified_nongeodetic,
+            }
+            for v in verdicts
+        ],
+        "oracle_k": report.oracle_k,
+        "certified_nongeodetic": certified,
+        "scanned_max_length": report.scanned_max_length,
+        "exhaustive": report.exhaustive,
+    }
+    _emit(args, payload, [] if args.json else _cor4_text(report, certified))
     return WITNESS if certified else OK
 
 

@@ -338,43 +338,37 @@ def _candidate_chords(
     cycle, strictly shorter than both arcs between their endpoints.
 
     Keyed by (position, position) with the lower position first; values
-    sorted by (length, path).  The flag reports a hit per-pair cap.
+    sorted by (length, path).  The flag reports a hit per-pair cap.  A path
+    is kept only from its lower-position end, where the depth-first search
+    meets it once, so a bucket holds no duplicate and the cap counts each
+    path once, in search order.
     """
     m = c.length
     pos = {v: i for i, v in enumerate(c.vertices)}
-    on_cycle = frozenset(c.vertices)
+    adjacency = g.adjacency
     depth_cap = m // 2 - 1  # a chord is shorter than the smaller arc, which is <= m/2
-    found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    found: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     capped = False
-
-    def record(a: int, b: int, path: tuple[int, ...]) -> None:
-        nonlocal capped
-        pa, pb = pos[a], pos[b]
-        if pa > pb:
-            return  # the reversed copy is recorded from the other end
-        arc = pb - pa
-        ln = len(path) - 1
-        if ln < arc and ln < m - arc:
-            bucket = found.setdefault((pa, pb), set())
-            if len(bucket) >= per_pair_cap:
-                capped = True
-            else:
-                bucket.add(path)
-
-    for a in c.vertices:
+    for pa, a in enumerate(c.vertices):
         stack: list[tuple[int, tuple[int, ...]]] = [(a, (a,))]
         while stack:
             v, path = stack.pop()
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if w in path:
                     continue
-                if w in on_cycle:
-                    if w != a:
-                        record(a, w, path + (w,))
-                elif len(path) < depth_cap:  # deeper paths are too long to be chords
-                    stack.append((w, path + (w,)))
-    candidates = {key: sorted(bucket, key=lambda p: (len(p), p)) for key, bucket in found.items()}
-    return candidates, capped
+                pb = pos.get(w)
+                if pb is None:
+                    if len(path) < depth_cap:  # deeper paths are too long to be chords
+                        stack.append((w, path + (w,)))
+                elif pa < pb and len(path) < pb - pa and len(path) < m - pb + pa:
+                    bucket = found.setdefault((pa, pb), [])
+                    if len(bucket) >= per_pair_cap:
+                        capped = True
+                    else:
+                        bucket.append(path + (w,))
+    for bucket in found.values():
+        bucket.sort(key=lambda p: (len(p), p))
+    return found, capped
 
 
 def find_chord_system(
@@ -399,44 +393,53 @@ def find_chord_system(
     cycles and neighbouring-chord cycles of length 2L are never even and
     shorter than 2L, so the system is embedded.  Only a match is built as
     an ``EmbeddedSpec``.
+
+    This public entry point first checks that ``c`` is an even cycle of
+    ``g``; ``corollary4_check`` searches cycles it found in ``g`` itself and
+    skips that check.
     """
     validate_cycle_in(g, c)
+    if c.length % 2:
+        raise GraphError(f"cycle has odd length {c.length}; chord systems live on even cycles")
+    return _search(g, c, limits)
+
+
+def _search(g: Graph, c: CycleView, limits: SearchLimits) -> ChordSystemSearch:
+    """``find_chord_system`` on an even cycle ``c`` already known to lie in ``g``."""
     m = c.length
-    if m % 2:
-        raise GraphError(f"cycle has odd length {m}; chord systems live on even cycles")
     big_l = m // 2
     candidates, capped = _candidate_chords(g, c, limits.max_paths_per_pair)
     ends = sorted({p for key in candidates for p in key})
     tried = 0
     for n in range(2, big_l + 1):
         for subset in combinations(ends, 2 * n):
-            pairs = [(subset[i], subset[i + n]) for i in range(n)]
             pools = []
-            for pair in pairs:
-                pool = candidates.get(pair)
+            for i in range(n):
+                pool = candidates.get((subset[i], subset[i + n]))
                 if not pool:
                     break
                 pools.append(pool)
             else:
-                arcs = tuple((subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n))
+                arcs = tuple([(subset[(k + 1) % (2 * n)] - subset[k]) % m for k in range(2 * n)])
                 for assignment in product(*pools):
                     tried += 1
                     if tried > limits.max_combinations:
                         return ChordSystemSearch(None, False, tried - 1)
                     if len(set().union(*assignment)) != sum(map(len, assignment)):
                         continue  # two chords share a vertex
-                    chords = tuple(len(p) - 1 for p in assignment)
+                    chords = [len(p) - 1 for p in assignment]
                     # Condition 1: chord i closes an odd cycle with either arc.
                     # Condition 2: chords i and i+1 close a cycle of length 2L.
-                    if all(
-                        (chords[i] + subset[n + i] - subset[i]) % 2
-                        and arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] == m
-                        for i in range(n)
-                    ):
+                    for i in range(n):
+                        if not (chords[i] + subset[n + i] - subset[i]) % 2 or (
+                            arcs[i] + chords[i] + chords[(i + 1) % n] + arcs[n + i] != m
+                        ):
+                            break
+                    else:
                         match = ChordSystemMatch(
-                            EmbeddedSpec(big_l, n, arcs, chords),
-                            tuple(c.vertices[p] for p in subset),
-                            tuple(assignment),
+                            EmbeddedSpec(big_l, n, arcs, tuple(chords)),
+                            tuple([c.vertices[p] for p in subset]),
+                            assignment,
                         )
                         return ChordSystemSearch(match, not capped, tried)
     return ChordSystemSearch(None, not capped, tried)
@@ -476,7 +479,10 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
 
     A graph with no even cycle yields no verdicts.  Any certified verdict
     means the graph is not geodetic.  ``limits.max_cycle_length`` caps the
-    cycle scan; below the vertex count it may miss every even cycle.
+    cycle scan; below the vertex count it may miss every even cycle.  The
+    cycles come from ``minimal_even_cycles(g)``, so they are even cycles
+    of ``g`` and are searched without the check ``find_chord_system``
+    makes on a cycle given from outside.
     """
     if not is_connected(g):
         raise GraphError("certification requires a connected graph")
@@ -486,7 +492,7 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
         return Corollary4Report((), None, scanned, exhaustive)
     verdicts = []
     for c in cycles:
-        result = find_chord_system(g, c, limits)
+        result = _search(g, c, limits)
         certified = result.system is None and result.exhausted
         verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified))
     return Corollary4Report(tuple(verdicts), count_geodesics(g).k_value, scanned, exhaustive)

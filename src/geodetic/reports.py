@@ -25,7 +25,63 @@ def make_report(command: str, payload: dict) -> dict:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False)
+    """The text of ``json.dumps(report, indent=2)``, byte for byte: keys in
+    insertion order, two spaces per level, every string escaped to ASCII.
+    ``json`` renders an indented dump in pure Python, one generator per
+    container; this writes the same text into one list of pieces."""
+    out: list[str] = []
+    _render(report, "\n", out)
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _render(value: object, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` at the indent ``newline`` ends with,
+    testing its type in the order ``json`` tests it."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))  # json's spelling of NaN and the infinities
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = json.dumps(key)  # json's spelling of a number, bool or None key
+            out.append(sep + _escape(key) + ": ")
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_report(text: str) -> dict:

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodetic import (
     SearchLimits,
@@ -142,6 +149,18 @@ class TestBuildEmbedded:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: invalid spec")
+
+    def test_oversized_spec_is_a_usage_error(self, capsys):
+        # A well-formed spec of 2 * 10**8 vertices: refused by its vertex
+        # count, before the graph is allocated.
+        line = "L=100000000 n=2 arcs=1,99999999,1,99999999 chords=1,1"
+        start = time.perf_counter()
+        rc = main(["build-embedded", "--spec", line])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: spec has 200000000 vertices")
+        assert elapsed < 1
 
 
 class TestCheckEmbedded:
@@ -377,6 +396,132 @@ class TestCor4:
         assert report["verdicts"][0]["chord_system"] is None
         assert report["scanned_max_length"] == 8
         assert report["exhaustive"] is True
+
+
+class TestJsonBytes:
+    """Every ``--json`` report is, byte for byte, what ``json.dumps`` with
+    ``indent=2`` makes of it: reading it back and dumping it again with
+    ``json`` gives the same text."""
+
+    @staticmethod
+    def assert_json_dumps_bytes(out):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_graph_commands_over_the_corpus(self, tmp_path, capsys, corpus):
+        # An edge list names no vertex that lies on no edge, so the
+        # one-vertex graph has no file.
+        for i, g in enumerate(g for g in corpus if g.edge_count):
+            path = graph_file(tmp_path, g, f"g{i}.edges")
+            for command in ("classify", "lemma1", "cor4", "k4-check"):
+                assert main([command, "--json", path]) in (0, 1)
+                self.assert_json_dumps_bytes(capsys.readouterr().out)
+
+    def test_spec_commands(self, capsys):
+        invalid = ["L=3 n=2 arcs=1,2,2,1 chords=3,1", "L=4 n=2 arcs=1,3,1,3 chords=1,1"]
+        for command, lines in (
+            ("check-embedded", [H1_LINE, H2_LINE, *invalid]),
+            ("build-embedded", [H1_LINE, H2_LINE]),
+        ):
+            for line in lines:
+                main([command, "--json", "--spec", line])
+                self.assert_json_dumps_bytes(capsys.readouterr().out)
+
+
+# Small edge files on at most 12 vertices: connected graphs (a random tree
+# plus random edges), or random edge lines mixed with lines the parser
+# refuses.  Spec lines with L <= 8: chord systems whose arcs sum to 2L, or
+# arbitrary fields.
+def csv(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def connected_edge_lines(draw):
+    n = draw(st.integers(2, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(pairs, max_size=20))
+    return [f"{u} {v}" for u, v in edges]
+
+
+@st.composite
+def chord_system_lines(draw):
+    big_l = draw(st.integers(2, 8))
+    n = draw(st.integers(2, big_l))
+    cuts = draw(st.sets(st.integers(1, 2 * big_l - 1), min_size=2 * n - 1, max_size=2 * n - 1))
+    ends = (0, *sorted(cuts), 2 * big_l)
+    chords = draw(st.lists(st.integers(1, big_l), min_size=n, max_size=n))
+    return f"L={big_l} n={n} arcs={csv(b - a for a, b in zip(ends, ends[1:]))} chords={csv(chords)}"
+
+
+edge_lines = connected_edge_lines() | st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).map(lambda e: f"{e[0]} {e[1]}")
+    | st.sampled_from(["# comment", "", "0", "1 x", "-1 2", "0 1 2"]),
+    max_size=30,
+)
+small_ints = st.lists(st.integers(-1, 16), max_size=9).map(csv)
+spec_lines = (
+    chord_system_lines()
+    | st.builds(
+        "L={} n={} arcs={} chords={}".format,
+        st.integers(0, 8),
+        st.integers(0, 9),
+        small_ints,
+        small_ints,
+    )
+    | st.sampled_from([H1_LINE, H2_LINE, "L=3", "L=3 n=2 arcs=1,2,2,1 chords=2,x", "junk"])
+)
+
+
+def option(flag, values):
+    return values.map(lambda x: [] if x is None else [flag, str(x)])
+
+
+caps = st.none() | st.integers(-1, 12)
+# cor4 always gets a combination cap, so no example runs a search of
+# 250,000 tries.
+graph_argv = (
+    st.sampled_from([["classify"], ["k4-check"]])
+    | option("--max-len", caps).map(lambda o: ["lemma1", *o])
+    | st.builds(
+        lambda *options: ["cor4", *(x for o in options for x in o)],
+        option("--max-cycle-len", caps),
+        option("--max-paths", caps),
+        option("--max-combos", st.integers(0, 2000)),
+    )
+)
+
+
+def run_fuzzed(argv):
+    """Run ``main`` and check what any input may produce: exit code 0, 1
+    or 2, no traceback, and under ``--json`` either a report that
+    ``load_report`` accepts or, on exit code 2, no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv:
+        if rc == 2:
+            assert out.getvalue() == ""
+        else:
+            load_report(out.getvalue())
+    return rc
+
+
+class TestFuzz:
+    @given(edge_lines, graph_argv, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_graph_commands(self, lines, argv, as_json):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.edges"
+            path.write_text("\n".join(lines) + "\n")
+            run_fuzzed([*argv, *(["--json"] if as_json else []), str(path)])
+
+    @given(spec_lines, st.sampled_from(["check-embedded", "build-embedded"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_spec_commands(self, line, name, as_json):
+        run_fuzzed([name, *(["--json"] if as_json else []), "--spec", line])
 
 
 class TestErrors:

@@ -17,6 +17,7 @@ from geodetic import (
     format_spec_line,
     parse_spec_line,
 )
+from geodetic.embedding import MAX_BUILD_VERTICES
 
 
 def small_specs():
@@ -148,6 +149,14 @@ class TestBuild:
     def test_invalid_spec_rejected(self):
         with pytest.raises(GraphError, match="invalid spec"):
             build(EmbeddedSpec(3, 2, (1, 2, 2, 1), (3, 1)))
+
+    def test_spec_over_the_vertex_ceiling_is_refused(self):
+        # 2L = 999,998 cycle vertices and 2 + 1 inner chord vertices: one
+        # past the ceiling, refused before a vertex is allocated.
+        spec = EmbeddedSpec(499_999, 2, (1, 499_998, 1, 499_998), (3, 2))
+        assert MAX_BUILD_VERTICES == 10**6
+        with pytest.raises(GraphError, match="1000001 vertices, more than MAX_BUILD_VERTICES"):
+            build(spec)
 
 
 class TestCondition1:

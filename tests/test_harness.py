@@ -26,6 +26,7 @@ from geodetic import (
     enumerate_specs,
     find_chord_system,
     finding_record,
+    from_edge_list,
     lemma1_scan,
     minimal_even_cycles,
     parse_spec_line,
@@ -34,7 +35,7 @@ from geodetic import (
     sweep_validate,
     theorem2_pair_property,
 )
-from geodetic.harness import _candidate_chords, _orbit_key, compositions
+from geodetic.harness import ChordSystemSearch, _candidate_chords, _orbit_key, compositions
 from oracles import (
     brute_candidate_chords,
     brute_cycles,
@@ -354,8 +355,14 @@ class TestFindChordSystemMatchesBruteForce:
         # A minimal even cycle carries no chord-plus-arc cycle of even
         # length, so only longer cycles, such as Petersen's 8-cycle
         # 0 4 3 2 1 6 8 5, try systems that fail condition 1.
-        graphs = [*corpus, petersen, *seeded_samples(8, 6, seed=802)]
+        # On the wheel W6 the rim 6-cycle's three diameters all pass
+        # through the hub, so only the vertex-disjointness test refuses
+        # them as a system.
+        wheel = from_edge_list([*((i, (i + 1) % 6) for i in range(6)), *((i, 6) for i in range(6))])
+        graphs = [*corpus, petersen, wheel, *seeded_samples(8, 6, seed=802)]
         results = searches_match_brute_force(graphs, every_even_cycle=True)
+        rim = CycleView(tuple(range(6)))
+        assert find_chord_system(wheel, rim) == ChordSystemSearch(None, True, 4)
         eight = CycleView.from_sequence((0, 4, 3, 2, 1, 6, 8, 5))
         assert find_chord_system(petersen, eight).system is None
         assert any(r.system is not None for r in results)
@@ -384,6 +391,34 @@ def test_candidate_chords_match_uncapped_depth_first_search(corpus, petersen):
         without += not expected
     assert lengths == {1, 2, 3, 4}
     assert without > 0
+
+
+def test_candidate_chords_cap_keeps_at_most_cap_paths_per_pair(corpus, petersen):
+    # The referee lists every path; under a cap each pair keeps that many
+    # of them, and the flag is set exactly when some pair had more.  C8
+    # with three paths of length 2 joining 0 and 4 gives one pair 3 paths.
+    cases = [
+        (g, CycleView(seq))
+        for g in [*corpus, petersen]
+        for seq in sorted(brute_cycles(g))
+        if len(seq) % 2 == 0
+    ]
+    fan = from_edge_list(
+        [*((i, (i + 1) % 8) for i in range(8)), *((v, h) for h in (8, 9, 10) for v in (0, 4))]
+    )
+    cases.append((fan, CycleView(tuple(range(8)))))
+    for cap in (1, 2):
+        flags = set()
+        for g, c in cases:
+            expected = brute_candidate_chords(g, c)
+            kept, capped = _candidate_chords(g, c, cap)
+            assert kept.keys() == expected.keys()
+            for key, paths in kept.items():
+                assert len(paths) == min(cap, len(expected[key]))
+                assert set(paths) <= set(expected[key])
+            assert capped == any(len(paths) > cap for paths in expected.values())
+            flags.add(capped)
+        assert flags == {False, True}
 
 
 class TestCorollary4Check:
@@ -523,6 +558,34 @@ class TestSpecVerdictMemo:
         ] == expected
 
 
+def corollary4_matches_brute_force(g, limits):
+    """Assert that each verdict of ``corollary4_check``, whose search skips
+    the cycle check of ``find_chord_system``, is the brute-force search's
+    verdict on its cycle, and return the verdicts."""
+    verdicts = corollary4_check(g, limits).verdicts
+    assert [v.cycle for v in verdicts] == minimal_even_cycles(g, max(g.vertex_count, 4))[1]
+    for v in verdicts:
+        r = brute_find_chord_system(g, v.cycle, limits)
+        assert (v.match, v.search_exhausted) == (r.system, r.exhausted), (g.edges(), v.cycle)
+        assert v.certified_nongeodetic == (r.system is None and r.exhausted)
+    return verdicts
+
+
+REFEREE_LIMITS = pytest.mark.parametrize(
+    "limits",
+    [SearchLimits(), SearchLimits(max_paths_per_pair=1), SearchLimits(max_combinations=0)],
+    ids=["default", "paths1", "combos0"],
+)
+
+
+@REFEREE_LIMITS
+def test_corollary4_verdicts_match_brute_force(corpus, limits):
+    graphs = [*corpus, petersen_graph(), complete_graph(8), complete_graph(9)]
+    verdicts = [v for g in graphs for v in corollary4_matches_brute_force(g, limits)]
+    assert any(v.match for v in verdicts) == (limits.max_combinations > 0)
+    assert any(v.certified_nongeodetic for v in verdicts)
+
+
 class TestHoffmanSingleton:
     """The Hoffman-Singleton graph: a Moore graph of diameter 2 and girth 5,
     so geodetic, whose 5,250 minimal even cycles all have length 6."""
@@ -540,6 +603,10 @@ class TestHoffmanSingleton:
         verdict = lemma1_scan(hs)
         assert verdict.exhaustive
         assert verdict.witness is None
+
+    @REFEREE_LIMITS
+    def test_cor4_verdicts_match_brute_force(self, hs, limits):
+        assert len(corollary4_matches_brute_force(hs, limits)) == 5250
 
     def test_cor4_matches_every_cycle(self, hs):
         report = corollary4_check(hs)

@@ -12,7 +12,14 @@ import random
 import pytest
 
 from conftest import engine_rows
-from geodetic import CycleView, count_geodesics, from_edge_list, minimal_even_cycles
+from geodetic import (
+    CycleView,
+    count_geodesics,
+    find_chord_system,
+    from_edge_list,
+    lemma1_scan,
+    minimal_even_cycles,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -65,3 +72,27 @@ def test_count_geodesics_matches_networkx(seed):
     assert profile.k_value == k
     first = next((u, v) for u in range(n) for v in range(u + 1, n) if count[u][v] == k)
     assert profile.witness_pair == (first if k > 1 else (0, 0))
+
+
+def test_lemma1_witnesses_carry_no_chord_system():
+    # On a Lemma 1 witness cycle an opposite pair is at distance L in the
+    # whole graph.  A chord system meeting both cycle conditions would join
+    # it by a path shorter than L, so the two halves of the package must
+    # agree: the search on each witness finds nothing, exhaustively.  Run
+    # on every connected graph of the atlas, which holds all graphs on up
+    # to 7 vertices up to isomorphism.
+    graphs = [
+        from_edge_list(list(h.edges()), vertex_count=h.number_of_nodes())
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() and nx.is_connected(h)
+    ]
+    assert len(graphs) == 996
+    witnesses = 0
+    for g in graphs:
+        verdict = lemma1_scan(g)
+        assert verdict.exhaustive
+        if verdict.witness is not None:
+            witnesses += 1
+            result = find_chord_system(g, verdict.witness)
+            assert result.system is None and result.exhausted, g.edges()
+    assert witnesses == 889

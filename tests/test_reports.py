@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodetic import (
@@ -23,6 +24,31 @@ json_values = st.recursive(
     max_leaves=10,
 )
 
+# Every value json.dumps accepts, tuples included: text with control and
+# non-ASCII characters, integers far past 64 bits, and every float, NaN and
+# the infinities among them, as values and as keys next to int, bool and
+# None keys.
+any_text = st.text(st.characters(codec=None), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "é\u2028\U0001f600", '"\\/', "\ud800"]
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    | any_text
+)
+keys = any_text | st.integers() | st.floats() | st.booleans() | st.none()
+dumpable_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=20,
+)
+
 
 class TestReportObjects:
     def test_make_report_stamps_schema(self):
@@ -39,6 +65,18 @@ class TestReportObjects:
         payload.pop("command", None)
         report = make_report("probe", payload)
         assert load_report(dump_report(report)) == report
+
+    @given(dumpable_values)
+    @settings(max_examples=300)
+    def test_dump_is_json_dumps_byte_for_byte(self, value):
+        assert dump_report(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{(1, 2): 3}, {"a": {1, 2}}, [object()]])
+    def test_dump_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            dump_report(value)
 
     def test_rejects_invalid_json(self):
         with pytest.raises(ReportError, match="not valid JSON"):
