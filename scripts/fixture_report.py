@@ -3,8 +3,12 @@ shortest-path multiplicity, the even-cycle witness scan (exhaustive and
 capped at length 6), the chord-system certification outcome, the distinct
 chord systems matched on its minimal even cycles, and the K4-subdivision
 test's verdict.  Then print the ``check-embedded`` text and exit code for
-one spec line per branch of its report, and the exact ``--json`` bytes of
-a few reports, so that the JSON emitter's output is pinned too.
+one spec line per branch of its report, the exact ``--json`` bytes of a
+few reports, so that the JSON emitter's output is pinned too, and the text
+output and exit code of every other subcommand: ``classify``, ``lemma1``
+(exhaustive and capped at length 6), ``cor4`` and ``k4-check`` on each
+fixture, ``build-embedded`` on each embedded spec with and without ``-o``,
+and two small sweeps.
 
 A compact end-to-end exercise of the toolkit; every verdict printed here
 is also pinned by the test suite, and the whole output by
@@ -139,25 +143,62 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+# Text-mode calls per fixture graph: (label, arguments before the file).
+GRAPH_COMMANDS = [
+    ("classify", ["classify"]),
+    ("lemma1", ["lemma1"]),
+    ("lemma1 --max-len 6", ["lemma1", "--max-len", "6"]),
+    ("cor4", ["cor4"]),
+    ("k4-check", ["k4-check"]),
+]
+
+SWEEPS = [["sweep", "--lmax", "4"], ["sweep", "--lmax", "4", "--include-invalid"]]
+
+
+def print_cli(label: str, argv: list[str], tmp: str) -> None:
+    """One command-line call's exit code and indented text output, with the
+    temporary directory's path written as ``<tmp>``."""
+    code, out = run_cli(argv)
+    print(f"{label}: exit code {code}")
+    for text in out.replace(tmp, "<tmp>").splitlines():
+        print(f"  {text}")
+
+
 def main() -> int:
     for name, g in FIXTURES:
         describe(name, g)
     for spec in EMBEDDED:
         h = build(spec)
         describe(f"embedded even graph {format_spec_line(spec)}", h.graph)
-    for name, line in CHECK_EMBEDDED:
-        code, out = run_cli(["check-embedded", "--spec", line])
-        print(f"check-embedded, {name}: exit code {code}")
-        for text in out.splitlines():
-            print(f"  {text}")
     graphs = dict(FIXTURES)
     with tempfile.TemporaryDirectory() as tmp:
+        for name, line in CHECK_EMBEDDED:
+            print_cli(f"check-embedded, {name}", ["check-embedded", "--spec", line], tmp)
         for command, name in JSON_REPORTS:
             path = Path(tmp) / "graph.edges"
             path.write_text(format_edge_list(graphs[name]))
             code, out = run_cli([command, "--json", str(path)])
             print(f"{command} --json, {name}: exit code {code}")
             print(out, end="")
+        for name, g in FIXTURES:
+            path = Path(tmp) / "graph.edges"
+            path.write_text(format_edge_list(g))
+            for label, argv in GRAPH_COMMANDS:
+                print_cli(f"{label}, {name}", [*argv, str(path)], tmp)
+        for spec in EMBEDDED:
+            line = format_spec_line(spec)
+            print_cli(f"build-embedded, {line}", ["build-embedded", "--spec", line], tmp)
+            path = Path(tmp) / "built.edges"
+            print_cli(
+                f"build-embedded -o, {line}",
+                ["build-embedded", "--spec", line, "-o", str(path)],
+                tmp,
+            )
+            print("  written file:")
+            for text in path.read_text().splitlines():
+                print(f"    {text}")
+        for argv in SWEEPS:
+            print_cli(" ".join(argv), argv, tmp)
     return 0
 
 

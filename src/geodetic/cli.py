@@ -2,7 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 when the geodetic-favourable
 claim holds, 1 when a witness or violation was found, 2 for usage or input
-errors.  Every subcommand accepts ``--json`` for machine-readable output.
+errors.  Every subcommand builds one report, prints it as JSON under
+``--json`` and otherwise renders its text output from it.
 """
 
 from __future__ import annotations
@@ -12,19 +13,14 @@ import functools
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import reports
 from .cycles import lemma1_scan
-from .embedding import (
-    build,
-    evaluate_spec,
-    format_spec_line,
-    parse_spec_line,
-)
+from .embedding import build, evaluate_spec, format_spec_line, parse_spec_line
 from .geodesics import GeodeticClass, count_geodesics, enumerate_geodesics
 from .graphs import GraphError, format_edge_list, load_edge_list
 from .harness import (
-    Corollary4Report,
     SearchLimits,
     SweepBounds,
     SweepFinding,
@@ -37,41 +33,50 @@ from .homeomorph import theorem1_check
 OK, WITNESS, USAGE = 0, 1, 2
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: list[str]) -> None:
+def _emit(args: argparse.Namespace, code: int, payload: dict, render: Callable) -> int:
+    """Print the one report of a subcommand, ``payload``: as JSON with
+    ``--json``, else as the text lines ``render(payload)``.  Returns ``code``."""
     if args.json:
         print(reports.dump_report(reports.make_report(args.command, payload)))
     else:
-        for line in text:
+        for line in render(payload):
             print(line)
+    return code
+
+
+def _ok(flag: bool) -> str:
+    return "ok" if flag else "FAIL"
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = load_edge_list(args.graph)
     profile = count_geodesics(g)
     cls = GeodeticClass(profile.k_value)
-    u, v = profile.witness_pair
     payload = {
         "k": cls.k,
         "class": cls.label,
-        "witness_pair": [u, v],
+        "witness_pair": list(profile.witness_pair),
         "witness_distance": profile.witness_distance,
         "witness_count": profile.k_value,
     }
-    text = [str(cls)]
     if cls.k > 1:
-        text.append(
-            f"witness pair ({u}, {v}): {profile.k_value} geodesics "
-            f"of length {profile.witness_distance}"
-        )
-        sample = enumerate_geodesics(g, u, v, cap=4)
+        sample = enumerate_geodesics(g, *profile.witness_pair, cap=4)
         payload["witness_geodesics"] = [list(p) for p in sample.paths]
         payload["witness_geodesics_truncated"] = sample.truncated
-        for p in sample.paths:
-            text.append("  " + " - ".join(str(x) for x in p))
-        if sample.truncated:
-            text.append("  ...")
-    _emit(args, payload, text)
-    return OK if cls.k == 1 else WITNESS
+    return _emit(args, OK if cls.k == 1 else WITNESS, payload, _classify_text)
+
+
+def _classify_text(p: dict) -> Iterator[str]:
+    yield f"{p['class']} (K={p['k']})"
+    if p["k"] > 1:
+        u, v = p["witness_pair"]
+        yield (
+            f"witness pair ({u}, {v}): {p['witness_count']} geodesics "
+            f"of length {p['witness_distance']}"
+        )
+        yield from ("  " + " - ".join(str(x) for x in path) for path in p["witness_geodesics"])
+        if p["witness_geodesics_truncated"]:
+            yield "  ..."
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
@@ -83,23 +88,21 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
         "scanned_max_length": verdict.scanned_max_length,
         "exhaustive": verdict.exhaustive,
     }
-    if verdict.witness:
-        c = verdict.witness
-        u, v = verdict.witness_pair
-        text = [
-            f"witness cycle of length {c.length}: " + " ".join(str(x) for x in c.vertices),
-            f"opposite pair ({u}, {v}) realises distance {c.length // 2}, so both "
+    return _emit(args, WITNESS if verdict.witness else OK, payload, _lemma1_text)
+
+
+def _lemma1_text(p: dict) -> list[str]:
+    cycle = p["witness"]
+    if cycle:
+        u, v = p["witness_pair"]
+        return [
+            f"witness cycle of length {len(cycle)}: " + " ".join(str(x) for x in cycle),
+            f"opposite pair ({u}, {v}) realises distance {len(cycle) // 2}, so both "
             "arcs are geodesics; the graph is not geodetic",
         ]
-        _emit(args, payload, text)
-        return WITNESS
-    scope = (
-        "scan exhaustive"
-        if verdict.exhaustive
-        else f"scanned cycles up to length {verdict.scanned_max_length} only"
-    )
-    _emit(args, payload, [f"no witness cycle ({scope})"])
-    return OK
+    if p["exhaustive"]:
+        return ["no witness cycle (scan exhaustive)"]
+    return [f"no witness cycle (scanned cycles up to length {p['scanned_max_length']} only)"]
 
 
 def _cmd_build_embedded(args: argparse.Namespace) -> int:
@@ -121,22 +124,19 @@ def _cmd_build_embedded(args: argparse.Namespace) -> int:
     }
     if args.output:
         Path(args.output).write_text(edge_text)
-        _emit(
-            args,
-            payload,
-            [
-                f"wrote {h.graph.vertex_count} vertices / {h.graph.edge_count} edges "
-                f"to {args.output}"
-            ],
-        )
-    else:
-        _emit(args, payload, [edge_text.rstrip("\n")])
-    return OK
+    return _emit(args, OK, payload, functools.partial(_build_text, output=args.output))
+
+
+def _build_text(p: dict, output: str | None) -> list[str]:
+    if output:
+        return [f"wrote {p['vertices']} vertices / {p['edges']} edges to {output}"]
+    return [p["edge_list"].rstrip("\n")]
 
 
 def _cmd_check_embedded(args: argparse.Namespace) -> int:
     spec = parse_spec_line(args.spec)
     report = evaluate_spec(spec)
+    predicted = report.predicted_class
     payload = {
         "spec": format_spec_line(spec),
         "chord_valid": report.chord_valid,
@@ -144,32 +144,18 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
         "condition1": None,
         "condition2": None,
         "embeddedness": None,
-        "predicted": None,
+        "predicted": predicted.label if predicted else None,
     }
-    text = [format_spec_line(spec), *(f"invalid: {problem}" for problem in report.problems)]
+    # The length tuples, and every verdict read off them, are None together.
     if report.chord_arc_lengths is not None:
-        lengths = report.chord_arc_lengths
-        pairs = ", ".join(f"A{i + 1}: {cw}/{ccw}" for i, (cw, ccw) in enumerate(lengths))
         payload["condition1"] = {
             "ok": report.condition1,
-            "chord_arc_cycle_lengths": [list(pair) for pair in lengths],
+            "chord_arc_cycle_lengths": [list(pair) for pair in report.chord_arc_lengths],
         }
-        text.append(
-            f"condition 1 (chord+arc cycles all odd): "
-            f"{'ok' if report.condition1 else 'FAIL'} ({pairs})"
-        )
-    if report.adjacent_lengths is not None:
         payload["condition2"] = {
             "ok": report.condition2,
             "adjacent_chord_cycle_lengths": list(report.adjacent_lengths),
         }
-        text.append(
-            f"condition 2 (neighbouring-chord cycles all {spec.cycle_length}): "
-            f"{'ok' if report.condition2 else 'FAIL'} "
-            f"({', '.join(str(x) for x in report.adjacent_lengths)})"
-        )
-    violations = report.violations
-    if violations is not None:
         payload["embeddedness"] = {
             "ok": report.embedded,
             "violations": [
@@ -179,44 +165,54 @@ def _cmd_check_embedded(args: argparse.Namespace) -> int:
                     "length": v.length,
                     "arc_side": v.arc_side,
                 }
-                for v in violations
+                for v in report.violations
             ],
         }
-        text.append(
-            f"embeddedness (no even cycle shorter than {spec.cycle_length} among them): "
-            f"{'ok' if report.embedded else 'FAIL'}"
+    code = OK if report.all_conditions_hold else WITNESS
+    return _emit(args, code, payload, functools.partial(_check_text, m=spec.cycle_length))
+
+
+def _check_text(p: dict, m: int) -> Iterator[str]:
+    """The ``check-embedded`` lines of a spec whose cycle has length ``m``."""
+    yield p["spec"]
+    yield from (f"invalid: {problem}" for problem in p["problems"])
+    if p["condition1"] is not None:
+        c1, c2, emb = p["condition1"], p["condition2"], p["embeddedness"]
+        pairs = ", ".join(
+            f"A{i + 1}: {cw}/{ccw}" for i, (cw, ccw) in enumerate(c1["chord_arc_cycle_lengths"])
         )
-        for v in violations:
-            names = "+".join(f"A{i + 1}" for i in v.chord_indices)
-            text.append(f"  even cycle of length {v.length} from {v.kind} ({names})")
-    predicted = report.predicted_class
-    if predicted is not None:
-        bound = "K=1" if predicted.k == 1 else f"K<={predicted.k}"
-        payload["predicted"] = predicted.label
-        text.append(f"predicted class: {predicted.label} ({bound})")
+        yield f"condition 1 (chord+arc cycles all odd): {_ok(c1['ok'])} ({pairs})"
+        yield (
+            f"condition 2 (neighbouring-chord cycles all {m}): {_ok(c2['ok'])} "
+            f"({', '.join(str(x) for x in c2['adjacent_chord_cycle_lengths'])})"
+        )
+        yield f"embeddedness (no even cycle shorter than {m} among them): {_ok(emb['ok'])}"
+        for v in emb["violations"]:
+            names = "+".join(f"A{i + 1}" for i in v["chords"])
+            yield f"  even cycle of length {v['length']} from {v['kind']} ({names})"
+    if p["predicted"] is not None:
+        # Every check passed: geodetic (K=1) for n = 2, bigeodetic for n >= 3.
+        bound = "K=1" if p["predicted"] == GeodeticClass(1).label else "K<=2"
+        yield f"predicted class: {p['predicted']} ({bound})"
     else:
-        text.append("no class prediction (checks failed)")
-    _emit(args, payload, text)
-    return OK if report.all_conditions_hold else WITNESS
+        yield "no class prediction (checks failed)"
 
 
 def _cmd_k4_check(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.graph)
-    report = theorem1_check(g)
-    payload = vars(report)
-    if not report.is_k4_homeomorph:
-        _emit(args, payload, ["not homeomorphic to K4; test does not apply"])
-        return WITNESS
-    text = [
+    report = theorem1_check(load_edge_list(args.graph))
+    return _emit(args, OK if report.verdict_geodetic else WITNESS, vars(report), _k4_text)
+
+
+def _k4_text(p: dict) -> list[str]:
+    if not p["is_k4_homeomorph"]:
+        return ["not homeomorphic to K4; test does not apply"]
+    return [
         "homeomorphic to K4",
-        f"segments are geodesics: {'ok' if report.segments_are_geodesics else 'FAIL'}",
-        f"three-segment cycles all odd: {'ok' if report.three_segment_cycles_odd else 'FAIL'}",
-        f"four-segment cycles equal length: "
-        f"{'ok' if report.four_segment_cycles_equal else 'FAIL'}",
-        f"verdict: {'geodetic' if report.verdict_geodetic else 'not geodetic'}",
+        f"segments are geodesics: {_ok(p['segments_are_geodesics'])}",
+        f"three-segment cycles all odd: {_ok(p['three_segment_cycles_odd'])}",
+        f"four-segment cycles equal length: {_ok(p['four_segment_cycles_equal'])}",
+        f"verdict: {'geodetic' if p['verdict_geodetic'] else 'not geodetic'}",
     ]
-    _emit(args, payload, text)
-    return OK if report.verdict_geodetic else WITNESS
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -243,12 +239,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         for _ in findings:
             pass
-    total = sum(row["specs"] for row in rows.values())
     inconsistent = sum(row["bad"] for row in rows.values())
     payload = {
         "L_max": args.lmax,
         "include_invalid": args.include_invalid,
-        "total_specs": total,
+        "total_specs": sum(row["specs"] for row in rows.values()),
         "conditions_satisfied": sum(row["ok"] for row in rows.values()),
         "inconsistent": inconsistent,
         "findings_file": args.output,
@@ -256,49 +251,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             {"n": n, "k": k, "specs": count} for (n, k), count in sorted(oracle_k.items())
         ],
     }
-    text = ["  L  n   specs  conds-ok  inconsistent"]
+    code = OK if inconsistent == 0 else WITNESS
+    return _emit(args, code, payload, functools.partial(_sweep_text, rows=rows))
+
+
+def _sweep_text(p: dict, rows: dict[tuple[int, int], dict[str, int]]) -> Iterator[str]:
+    """The sweep summary, led by its per-(L, n) table, which only the text shows."""
+    yield "  L  n   specs  conds-ok  inconsistent"
     for (big_l, n), row in sorted(rows.items()):
-        text.append(f"{big_l:>3}{n:>3}{row['specs']:>8}{row['ok']:>10}{row['bad']:>14}")
-    text.append("oracle class by chord count (condition-satisfying specs):")
-    for (n, k), count in sorted(oracle_k.items()):
-        text.append(f"  n={n}: K={k} for {count} specs")
-    text.append(
-        f"total: {total} specs, {inconsistent} inconsistent"
-        + (f", findings written to {args.output}" if args.output else "")
+        yield f"{big_l:>3}{n:>3}{row['specs']:>8}{row['ok']:>10}{row['bad']:>14}"
+    yield "oracle class by chord count (condition-satisfying specs):"
+    for e in p["oracle_k_by_chord_count"]:
+        yield f"  n={e['n']}: K={e['k']} for {e['specs']} specs"
+    yield (
+        f"total: {p['total_specs']} specs, {p['inconsistent']} inconsistent"
+        + (f", findings written to {p['findings_file']}" if p["findings_file"] else "")
     )
-    _emit(args, payload, text)
-    return OK if inconsistent == 0 else WITNESS
-
-
-def _cor4_text(report: Corollary4Report, certified: bool) -> list[str]:
-    """The text lines of ``cor4``, built only when no ``--json`` is asked
-    for: on a dense graph they format hundreds of cycles."""
-    text = []
-    if not report.verdicts:
-        text.append(
-            "no even cycle found; nothing to certify"
-            if report.exhaustive
-            else f"no even cycle up to length {report.scanned_max_length}; the scan was "
-            "capped, so the result is inconclusive"
-        )
-    for v in report.verdicts:
-        head = f"minimal even cycle {' '.join(str(x) for x in v.cycle.vertices)}: "
-        if v.match:
-            text.append(head + f"chord system found ({format_spec_line(v.match.spec)})")
-        elif v.certified_nongeodetic:
-            text.append(head + "no chord system (search exhausted)")
-        else:
-            text.append(head + "no chord system found, but search hit a cap (inconclusive)")
-    if certified:
-        text.append("certified: the graph is not geodetic")
-    elif report.oracle_k is None:
-        text.append("no certification")
-    else:
-        text.append(
-            f"no certification (oracle K={report.oracle_k}): cor4 checks only minimal "
-            "even cycles, so this is not a verdict that the graph is geodetic"
-        )
-    return text
 
 
 def _cmd_cor4(args: argparse.Namespace) -> int:
@@ -309,8 +277,7 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
         max_cycle_length=args.max_cycle_len,
     )
     report = corollary4_check(g, limits)
-    verdicts = report.verdicts
-    certified = any(v.certified_nongeodetic for v in verdicts)
+    certified = any(v.certified_nongeodetic for v in report.verdicts)
     payload = {
         "verdicts": [
             {
@@ -321,15 +288,41 @@ def _cmd_cor4(args: argparse.Namespace) -> int:
                 "search_exhausted": v.search_exhausted,
                 "certified_nongeodetic": v.certified_nongeodetic,
             }
-            for v in verdicts
+            for v in report.verdicts
         ],
         "oracle_k": report.oracle_k,
         "certified_nongeodetic": certified,
         "scanned_max_length": report.scanned_max_length,
         "exhaustive": report.exhaustive,
     }
-    _emit(args, payload, [] if args.json else _cor4_text(report, certified))
-    return WITNESS if certified else OK
+    return _emit(args, WITNESS if certified else OK, payload, _cor4_text)
+
+
+def _cor4_text(p: dict) -> Iterator[str]:
+    if not p["verdicts"]:
+        yield (
+            "no even cycle found; nothing to certify"
+            if p["exhaustive"]
+            else f"no even cycle up to length {p['scanned_max_length']}; the scan was "
+            "capped, so the result is inconclusive"
+        )
+    for v in p["verdicts"]:
+        head = f"minimal even cycle {' '.join(str(x) for x in v['cycle'])}: "
+        if v["chord_system"]:
+            yield head + f"chord system found ({v['chord_system']})"
+        elif v["certified_nongeodetic"]:
+            yield head + "no chord system (search exhausted)"
+        else:
+            yield head + "no chord system found, but search hit a cap (inconclusive)"
+    if p["certified_nongeodetic"]:
+        yield "certified: the graph is not geodetic"
+    elif p["oracle_k"] is None:
+        yield "no certification"
+    else:
+        yield (
+            f"no certification (oracle K={p['oracle_k']}): cor4 checks only minimal "
+            "even cycles, so this is not a verdict that the graph is geodetic"
+        )
 
 
 @functools.cache

@@ -37,7 +37,7 @@ from itertools import chain
 
 from .cycles import CycleView
 from .geodesics import GeodeticClass
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import MAX_VERTICES, Graph, GraphError, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -112,27 +112,20 @@ class EmbeddedGraph:
     chord_paths: tuple[tuple[int, ...], ...]
 
 
-# The most vertices ``build`` constructs: a short spec line can name a
-# graph of any size, so a larger one is refused before it is allocated.
-MAX_BUILD_VERTICES = 10**6
-
-
 def build(spec: EmbeddedSpec) -> EmbeddedGraph:
     """Construct the graph for a fully valid spec.
 
     Vertex count is 2L + sum(c_i - 1) and edge count 2L + sum(c_i); the
     chord endpoints are exactly the degree-3 vertices.  A spec with more
-    than ``MAX_BUILD_VERTICES`` vertices is refused before anything is
-    allocated.
+    than ``graphs.MAX_VERTICES`` vertices is refused before anything is
+    allocated: a short spec line can name a graph of any size.
     """
     problems, _ = _problems_and_spans(spec)
     if problems:
         raise GraphError("invalid spec: " + "; ".join(problems))
     vertices = spec.cycle_length + sum(spec.chords) - spec.n
-    if vertices > MAX_BUILD_VERTICES:
-        raise GraphError(
-            f"spec has {vertices} vertices, more than MAX_BUILD_VERTICES = {MAX_BUILD_VERTICES}"
-        )
+    if vertices > MAX_VERTICES:
+        raise GraphError(f"spec has {vertices} vertices, more than MAX_VERTICES = {MAX_VERTICES}")
     m = spec.cycle_length
     edges = [(k, (k + 1) % m) for k in range(m)]
     positions = spec.node_positions()

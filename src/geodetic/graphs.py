@@ -17,6 +17,13 @@ class GraphError(ValueError):
     """Raised for malformed input or operations outside a function's domain."""
 
 
+# The vertex ceiling.  A short input can name a graph of any size, so a
+# graph with more vertices than this, and more than two per edge, is
+# refused before its adjacency is allocated; so is a larger spec in
+# ``embedding.build``.
+MAX_VERTICES = 10**6
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph, immutable after construction.
@@ -73,7 +80,9 @@ def from_edge_list(edges: Iterable[tuple[int, int]], *, vertex_count: int | None
 
     Duplicate edges collapse.  The vertex count is ``1 + max endpoint``
     (0 for no edges) unless a larger ``vertex_count`` is given explicitly,
-    which allows trailing isolated vertices.
+    which allows trailing isolated vertices.  A vertex count above both
+    ``MAX_VERTICES`` and twice the number of edges is refused before any
+    adjacency set is allocated.
     """
     pairs = []
     top = -1
@@ -89,6 +98,11 @@ def from_edge_list(edges: Iterable[tuple[int, int]], *, vertex_count: int | None
         if vertex_count < n:
             raise GraphError(f"vertex_count={vertex_count} is below max endpoint {top}")
         n = vertex_count
+    if n > max(MAX_VERTICES, 2 * len(pairs)):
+        raise GraphError(
+            f"{n} vertices exceed both MAX_VERTICES = {MAX_VERTICES} "
+            f"and twice the edge count {len(pairs)}"
+        )
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in pairs:
         nbrs[u].add(v)

@@ -16,6 +16,7 @@ reports ``exhausted=False`` and never certifies anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator
 
@@ -128,9 +129,12 @@ class PairPropertyReport:
     """The on-cycle pair check and ``oracle_k``, the largest geodesic count
     over all pairs of the built graph, read off the same BFS pass."""
 
-    holds: bool
     violations: tuple[PairViolation, ...]
     oracle_k: int
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 def theorem2_pair_property(h: EmbeddedGraph) -> PairPropertyReport:
@@ -156,26 +160,41 @@ def theorem2_pair_property(h: EmbeddedGraph) -> PairPropertyReport:
             d, k = dist[v], sigma[v]
             if k > 1 or (opposite and d >= big_l):  # type: ignore[operator]
                 violations.append(PairViolation(u, v, d, k, opposite))  # type: ignore[arg-type]
-    return PairPropertyReport(not violations, tuple(violations), oracle_k)
+    return PairPropertyReport(tuple(violations), oracle_k)
 
 
 @dataclass(frozen=True)
 class SweepFinding:
-    """One spec's structural checks versus the oracle.
+    """One spec's structural checks versus the oracle.  The sweep reads
+    each derived field several times, so each is cached."""
 
-    ``consistent`` means: when all conditions hold, the pair property holds
-    and the oracle K is at most the predicted class's K; when a cycle
-    condition fails on an otherwise embedded system, the pair property is
-    violated by at least one pair.  Specs whose chord layout already
-    contains a short even cycle fall outside both directions and are
-    always marked consistent.
-    """
-
-    spec: EmbeddedSpec
     report: ConditionReport
-    oracle: GeodeticClass
     pair_property: PairPropertyReport
-    consistent: bool
+
+    @cached_property
+    def spec(self) -> EmbeddedSpec:
+        return self.report.spec
+
+    @cached_property
+    def oracle(self) -> GeodeticClass:
+        return GeodeticClass(self.pair_property.oracle_k)
+
+    @cached_property
+    def consistent(self) -> bool:
+        """Compare the spec's structural checks against its oracle reading:
+        when all conditions hold, the pair property holds and the oracle K
+        is at most the predicted class's K, and when a cycle condition fails
+        on an otherwise embedded system, some pair violates the property."""
+        predicted = self.report.predicted_class
+        if predicted is not None:
+            return self.pair_property.holds and self.oracle.k <= predicted.k
+        if self.report.embedded:
+            # An embedded chord system failing a cycle condition must break
+            # the on-cycle pair property; that is the converse direction.
+            return not self.pair_property.holds
+        # No structural claim covers chord layouts with short even cycles;
+        # the record survives in the findings for inspection.
+        return True
 
 
 def _orbit_key(spec: EmbeddedSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int, int]:
@@ -215,27 +234,9 @@ def _relabel(pairs: PairPropertyReport, sign: int, shift: int, m: int) -> PairPr
         moved.append((u, v, p) if u < v else (v, u, p))
     moved.sort()  # the mapped pairs are distinct, so no violation is compared
     return PairPropertyReport(
-        pairs.holds,
         tuple(PairViolation(u, v, p.distance, p.count, p.opposite) for u, v, p in moved),
         pairs.oracle_k,
     )
-
-
-def _finding(report: ConditionReport, pairs: PairPropertyReport) -> SweepFinding:
-    """Compare one spec's structural checks against its oracle reading."""
-    oracle = GeodeticClass(pairs.oracle_k)
-    predicted = report.predicted_class
-    if predicted is not None:
-        consistent = pairs.holds and oracle.k <= predicted.k
-    elif report.embedded:
-        # An embedded chord system failing a cycle condition must break
-        # the on-cycle pair property; that is the converse direction.
-        consistent = not pairs.holds
-    else:
-        # No structural claim covers chord layouts with short even
-        # cycles; the record survives in the findings for inspection.
-        consistent = True
-    return SweepFinding(report.spec, report, oracle, pairs, consistent)
 
 
 def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
@@ -262,7 +263,7 @@ def sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
             )
         if (sign, shift) != (1, 0):
             pairs = _relabel(pairs, sign, shift, spec.cycle_length)
-        yield _finding(report, pairs)
+        yield SweepFinding(report, pairs)
 
 
 def finding_record(f: SweepFinding) -> dict:
@@ -447,13 +448,16 @@ def _search(g: Graph, c: CycleView, limits: SearchLimits) -> ChordSystemSearch:
 
 @dataclass(frozen=True)
 class Corollary4Verdict:
-    """Outcome for one minimal even cycle.  ``certified_nongeodetic`` is set
-    only when an exhausted search found nothing."""
+    """Outcome for one minimal even cycle."""
 
     cycle: CycleView
     match: ChordSystemMatch | None
     search_exhausted: bool
-    certified_nongeodetic: bool
+
+    @property
+    def certified_nongeodetic(self) -> bool:
+        """Only an exhausted search that found nothing certifies."""
+        return self.match is None and self.search_exhausted
 
 
 @dataclass(frozen=True)
@@ -493,6 +497,5 @@ def corollary4_check(g: Graph, limits: SearchLimits = SearchLimits()) -> Corolla
     verdicts = []
     for c in cycles:
         result = _search(g, c, limits)
-        certified = result.system is None and result.exhausted
-        verdicts.append(Corollary4Verdict(c, result.system, result.exhausted, certified))
+        verdicts.append(Corollary4Verdict(c, result.system, result.exhausted))
     return Corollary4Report(tuple(verdicts), count_geodesics(g).k_value, scanned, exhaustive)

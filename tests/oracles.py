@@ -43,7 +43,6 @@ from geodetic.harness import (
     ChordSystemSearch,
     SweepFinding,
     _candidate_chords,
-    _finding,
     compositions,
 )
 from geodetic.cycles import Lemma1Verdict
@@ -295,7 +294,7 @@ def brute_sweep_validate(bounds: SweepBounds) -> Iterator[SweepFinding]:
     have the same geodesic counts), not on the paper's cycle conditions, so
     this loop stays an independent check of it."""
     for report in enumerate_specs(bounds):
-        yield _finding(report, theorem2_pair_property(build(report.spec)))
+        yield SweepFinding(report, theorem2_pair_property(build(report.spec)))
 
 
 def brute_candidate_chords(g: Graph, c: CycleView) -> dict[tuple[int, int], list[tuple[int, ...]]]:

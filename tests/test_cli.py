@@ -260,8 +260,8 @@ class TestSweep:
     def test_converse_findings_file_is_pinned(self, tmp_path, capsys):
         # The whole L <= 4 converse findings file, every verdict bit of its
         # 558 specs included.  The differential sweep tests compare against
-        # a referee that shares evaluate_spec and _finding, so a changed bit
-        # would pass them; it cannot pass this digest.
+        # a referee that shares evaluate_spec and SweepFinding.consistent,
+        # so a changed bit would pass them; it cannot pass this digest.
         dest = tmp_path / "findings.jsonl"
         rc = main(["sweep", "--lmax", "4", "--include-invalid", "-o", str(dest)])
         assert rc == 0

@@ -17,7 +17,7 @@ from geodetic import (
     format_spec_line,
     parse_spec_line,
 )
-from geodetic.embedding import MAX_BUILD_VERTICES
+from geodetic.graphs import MAX_VERTICES
 
 
 def small_specs():
@@ -154,8 +154,8 @@ class TestBuild:
         # 2L = 999,998 cycle vertices and 2 + 1 inner chord vertices: one
         # past the ceiling, refused before a vertex is allocated.
         spec = EmbeddedSpec(499_999, 2, (1, 499_998, 1, 499_998), (3, 2))
-        assert MAX_BUILD_VERTICES == 10**6
-        with pytest.raises(GraphError, match="1000001 vertices, more than MAX_BUILD_VERTICES"):
+        assert MAX_VERTICES == 10**6
+        with pytest.raises(GraphError, match="1000001 vertices, more than MAX_VERTICES"):
             build(spec)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from geodetic import (
     path_graph,
     petersen_graph,
 )
+from geodetic import graphs
 from geodetic.graphs import _bfs_counts, load_edge_list
 
 edge_pairs = st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1])
@@ -53,6 +56,33 @@ class TestFromEdgeList:
     def test_vertex_count_below_max_endpoint_rejected(self):
         with pytest.raises(GraphError, match="vertex_count=2"):
             from_edge_list([(0, 5)], vertex_count=2)
+
+    def test_huge_vertex_count_is_refused_before_allocating(self):
+        # 10^9 adjacency sets would take tens of gigabytes.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="1000000000 vertices exceed both MAX_VERTICES"):
+                from_edge_list([], vertex_count=10**9)
+            with pytest.raises(GraphError, match="1000000000 vertices exceed both MAX_VERTICES"):
+                parse_edge_list("0 999999999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_vertex_ceiling_boundary(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 4)
+        assert from_edge_list([], vertex_count=4).vertex_count == 4
+        with pytest.raises(GraphError, match="5 vertices exceed both MAX_VERTICES = 4"):
+            from_edge_list([], vertex_count=5)
+        # Above the ceiling a graph may still have two vertices per edge.
+        edges = [(0, 1), (2, 3), (4, 5)]
+        assert from_edge_list(edges, vertex_count=6).vertex_count == 6
+        with pytest.raises(GraphError, match="7 vertices .* twice the edge count 3"):
+            from_edge_list(edges, vertex_count=7)
+        assert parse_edge_list("0 3\n").vertex_count == 4
+        with pytest.raises(GraphError, match="5 vertices .* twice the edge count 1"):
+            parse_edge_list("0 4\n")
 
     @given(edge_lists)
     def test_adjacency_invariants(self, edges):

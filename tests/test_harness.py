@@ -24,6 +24,7 @@ from geodetic import (
     cycle_graph,
     cycle_with_chord,
     enumerate_specs,
+    evaluate_spec,
     find_chord_system,
     finding_record,
     from_edge_list,
@@ -35,7 +36,15 @@ from geodetic import (
     sweep_validate,
     theorem2_pair_property,
 )
-from geodetic.harness import ChordSystemSearch, _candidate_chords, _orbit_key, compositions
+from geodetic.harness import (
+    ChordSystemSearch,
+    PairPropertyReport,
+    PairViolation,
+    SweepFinding,
+    _candidate_chords,
+    _orbit_key,
+    compositions,
+)
 from oracles import (
     brute_candidate_chords,
     brute_cycles,
@@ -636,6 +645,25 @@ class TestSweepValidate:
         assert f.report.embedded
         assert not f.pair_property.holds
         assert f.consistent
+
+    def test_consistency_flags_every_disagreement_with_the_oracle(self):
+        # A correct sweep never disagrees with its oracle, so each branch of
+        # consistent is fed readings that do.
+        clean, bigeodetic = PairPropertyReport((), 1), PairPropertyReport((), 2)
+        broken = PairPropertyReport((PairViolation(0, 3, 3, 2, True),), 1)
+        geodetic = evaluate_spec(H1_SPEC)  # all conditions hold, predicted K = 1
+        finding = SweepFinding(geodetic, clean)
+        assert finding.consistent
+        assert finding.spec == H1_SPEC and finding.oracle.k == 1
+        assert not SweepFinding(geodetic, bigeodetic).consistent
+        assert not SweepFinding(geodetic, broken).consistent
+        converse = evaluate_spec(parse_spec_line("L=3 n=2 arcs=1,2,1,2 chords=2,2"))
+        assert converse.embedded and not converse.condition2
+        assert SweepFinding(converse, broken).consistent
+        assert not SweepFinding(converse, clean).consistent
+        short = evaluate_spec(parse_spec_line("L=4 n=2 arcs=2,2,2,2 chords=2,2"))
+        assert short.embedded is False
+        assert SweepFinding(short, clean).consistent and SweepFinding(short, broken).consistent
 
     def test_each_candidate_is_evaluated_once(self, monkeypatch):
         from geodetic import embedding, harness
