@@ -64,6 +64,14 @@ FIXTURES = [
             + [(0, 10), (10, 11), (10, 12), (4, 13), (13, 14), (14, 15), (7, 16)]
         ),
     ),
+    (
+        "4x5 grid carrying pendant trees",
+        from_edge_list(
+            [(r * 5 + c, r * 5 + c + 1) for r in range(4) for c in range(4)]
+            + [(r * 5 + c, r * 5 + c + 5) for r in range(3) for c in range(5)]
+            + [(0, 20), (20, 21), (20, 22), (7, 23), (23, 24), (19, 25), (12, 26)]
+        ),
+    ),
 ]
 
 EMBEDDED = [
