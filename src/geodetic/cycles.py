@@ -159,8 +159,11 @@ def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
     - under the cap the pair is the global least one if d <= scanned / 2,
       and there is none otherwise, so a full chain search is filtered here.
     One BFS from u then gives v.  On the plain-BFS branch each search stops
-    short of the least level read so far: a later source, being larger,
-    wins only at a smaller level.
+    short of the least level read so far, since a later source, being
+    larger, wins only at a smaller level, and ``_least_repeat`` stops it at
+    its own first level with two geodesics.  A source so costs only the
+    ball its search reached: on a grid, after the first source, five
+    vertices.
     """
     n = g.vertex_count
     if not is_connected(g):
@@ -168,9 +171,9 @@ def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
     scanned, exhaustive = _scan_scope(n, max_len)
     depth = scanned // 2
 
-    def read(u, dist, sigma, ends):
+    def read(u, dist, sigma, ends, levels):
         nonlocal depth
-        row = _least_repeat(u, dist, sigma, ends)
+        row = _least_repeat(u, dist, sigma, ends, levels)
         if row:
             depth = min(depth, row[0] - 1)
         return row
@@ -186,9 +189,20 @@ def lemma1_scan(g: Graph, max_len: int | None = None) -> Lemma1Verdict:
     return Lemma1Verdict(witness, scanned, exhaustive, (u, v))
 
 
-def _least_repeat(u, dist, sigma, ends) -> tuple[int, int] | None:
-    """(d, u), d the least level at which source u has two geodesics, or None."""
-    levels = [level for _, _, level in _meetings(dist, ends)]
-    if max(sigma) > 1:
-        levels.append(min(d for d, s in zip(dist, sigma) if s > 1))
-    return (min(levels), u) if levels else None
+def _least_repeat(u, dist, sigma, ends, levels) -> tuple[int, int] | None:
+    """(d, u), d the least level at which source u has two geodesics, or None.
+
+    ``levels`` is read only up to the first group holding such a vertex, so
+    a breadth-first search stops at that level and no full row is read.  A
+    plain loop over each group measured faster than a comprehension on the
+    small graphs where most searches end after a level or two.
+    """
+    found = [level for _, _, level in _meetings(dist, ends)]
+    for group in levels:
+        meetings = len(found)
+        for w in group:
+            if sigma[w] > 1:
+                found.append(dist[w])
+        if len(found) > meetings:
+            break
+    return (min(found), u) if found else None

@@ -14,7 +14,7 @@ then costs linear time instead of quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graphs import Graph, GraphError, _bfs_counts, _chains
 
@@ -81,8 +81,8 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
     two ends at distances j and L - j, and the two halves of its own chain
     are chains with the source as one end.  Chains are crossed only when
     they hold more core vertices than the kernel; otherwise each source
-    runs ``_bfs_counts`` on the whole core, as on a grid or a complete
-    graph.
+    runs a plain breadth-first search of the whole core, as on a grid or a
+    complete graph.
 
     Witness: u is the least vertex whose row maximum (its root's, for a
     tree vertex) is K.  Any vertex reaching K with u is larger, so (u, v)
@@ -111,12 +111,22 @@ def count_geodesics(g: Graph) -> GeodesicProfile:
 
 
 def _source_rows(g: Graph, read: Callable, depth: Callable[[], int]) -> list:
-    """``read(v, dist, sigma, ends)`` at each core source v of a connected
-    graph, searched as ``count_geodesics`` describes, and its root's at
-    each tree vertex; a tree takes the reading of one vertex alone.  The
-    row is over the kernel, with each chain (a, b, L) in ``ends``.  The
-    plain-BFS branch reads the whole core, sources ascending, ``depth()``
-    levels deep, asked anew for each source, and ``ends`` is empty.
+    """``read(v, dist, sigma, ends, levels)`` at each core source v of a
+    connected graph, searched as ``count_geodesics`` describes, and its
+    root's at each tree vertex; a tree takes the reading of one vertex
+    alone.  ``levels`` lists the vertices the search reached in groups,
+    each group no farther than the next, and a reader need read no further
+    than it wants.
+
+    On the chain branch the rows are over the kernel, searched in full,
+    with each chain (a, b, L) in ``ends`` and the whole kernel as one
+    group.  The plain-BFS branch searches the whole core, sources
+    ascending, at most ``depth()`` levels deep, asked anew for each
+    source, and ``ends`` is empty.  Its sources share one pair of rows,
+    and ``levels`` is the search itself, run one level at a time as the
+    reader reads it (``_bfs_levels``).  So a source costs only the ball
+    its reader asked for: the rows hold None and 0 wherever its search did
+    not reach, and after each source only the entries it wrote are reset.
     """
     adjacency = g.adjacency
     n = len(adjacency)
@@ -135,7 +145,7 @@ def _source_rows(g: Graph, read: Callable, depth: Callable[[], int]) -> list:
                     order.append(y)
     core_size = n - len(order)
     if not core_size:
-        return [read(0, [0], [1], ())] * n
+        return [read(0, [0], [1], (), ())] * n
     if order:
         core = [v for v in range(n) if parent[v] is None]
         core_nbrs = [
@@ -171,9 +181,10 @@ def _source_rows(g: Graph, read: Callable, depth: Callable[[], int]) -> list:
             if inner:
                 chains.append((a, b, length, inner))
         ends = [chain[:3] for chain in chains]
+        whole = (range(size),)  # the kernel read as one group
         for i, v in enumerate(kernel):
             dist, sigma = _kernel_search(nbrs, ((i, 0),))
-            rows[v] = read(v, dist, sigma, ends)
+            rows[v] = read(v, dist, sigma, ends, whole)
         for c, (a, b, length, inner) in enumerate(chains):
             others = ends[:c] + ends[c + 1 :]
             for j, v in enumerate(inner, 1):
@@ -182,23 +193,73 @@ def _source_rows(g: Graph, read: Callable, depth: Callable[[], int]) -> list:
                 # own chain are chains with it as one end.
                 dist.append(0)
                 sigma.append(1)
-                rows[v] = read(v, dist, sigma, others + [(a, size, j), (size, b, length - j)])
+                rows[v] = read(
+                    v, dist, sigma, others + [(a, size, j), (size, b, length - j)], whole
+                )
     else:
-        # The chains hold no more core vertices than the kernel, so run
-        # the plain BFS on the whole core, relabelled 0 .. core_size - 1
-        # when trees were peeled off.
-        core_graph = g
+        # The chains hold no more core vertices than the kernel, so search
+        # the whole core breadth-first, relabelled 0 .. core_size - 1 when
+        # trees were peeled off.
+        core_adj = adjacency
         if order:
             index = [-1] * n
             for i, v in enumerate(core):
                 index[v] = i
-            core_graph = Graph(tuple(tuple([index[w] for w in core_nbrs[v]]) for v in core))
+            core_adj = [tuple([index[w] for w in core_nbrs[v]]) for v in core]
+        unset = [None] * core_size
+        zeros = [0] * core_size
+        dist, sigma = unset[:], zeros[:]
         for i, v in enumerate(core):
-            dist, sigma = _bfs_counts(core_graph, i, depth())
-            rows[v] = read(v, dist, sigma, ())
+            touched: list[list[int]] = []
+            levels = _bfs_levels(core_adj, i, depth(), dist, sigma, touched)
+            rows[v] = read(v, dist, sigma, (), levels)
+            if sum(map(len, touched)) < core_size:
+                for level in touched:
+                    for w in level:
+                        dist[w] = None
+                        sigma[w] = 0
+            else:  # the whole core was reached: copy the blank rows
+                dist[:] = unset
+                sigma[:] = zeros
     for x in reversed(order):
         rows[x] = rows[parent[x]]  # type: ignore[index]
     return rows
+
+
+def _bfs_levels(
+    adjacency, s: int, depth: int, dist: list, sigma: list, touched: list[list[int]]
+) -> Iterator[list[int]]:
+    """The vertices at levels 1 .. ``depth`` of a breadth-first search from
+    ``s``, one list per level, each yielded once the level's distances and
+    geodesic counts are written into ``dist`` and ``sigma``.
+
+    The search runs only as far as it is read, so a reader that stops at
+    level d leaves the farther levels unsearched.  The rows must hold None
+    and 0 at every vertex on entry.  Each list of vertices whose entries
+    the search wrote, ``[s]`` first, goes into ``touched`` before the search
+    pauses, so resetting those entries restores the rows however far it ran.
+    """
+    dist[s] = 0
+    sigma[s] = 1
+    frontier = [s]
+    touched.append(frontier)
+    for level in range(1, depth + 1):
+        reached = []
+        for v in frontier:
+            sv = sigma[v]
+            for w in adjacency[v]:
+                dw = dist[w]
+                if dw is None:
+                    dist[w] = level
+                    sigma[w] = sv
+                    reached.append(w)
+                elif dw == level:
+                    sigma[w] += sv
+        if not reached:
+            return
+        touched.append(reached)
+        yield reached
+        frontier = reached
 
 
 def _kernel_search(
@@ -255,8 +316,16 @@ def _meetings(dist, ends):
             yield a, b, dist[a] + t // 2
 
 
-def _row_max(v, dist, sigma, ends) -> int:
-    """The row maximum of source v, at a kernel vertex or a chain's meeting."""
+def _row_max(v, dist, sigma, ends, levels) -> int:
+    """The row maximum of source v, at a kernel vertex or a chain's meeting.
+
+    It reads ``levels`` to the end, so a breadth-first search runs to its
+    depth, and then takes the maximum of the whole row in one pass: sigma
+    is 0 wherever the search did not reach, and ``count_geodesics``
+    searches reach the whole core.
+    """
+    for _ in levels:
+        pass
     return max([max(sigma)] + [sigma[a] + sigma[b] for a, b, _ in _meetings(dist, ends)])
 
 

@@ -185,12 +185,15 @@ def _bfs_counts(g: Graph, s: int, depth: int) -> tuple[list[int | None], list[in
     ``depth`` of it; farther vertices keep distance None and count 0.
 
     Breadth-first, one level at a time: a vertex first reached at level d
-    accumulates the path counts of all its level d-1 neighbours.  This is
-    the package's one breadth-first search over a whole graph; every
-    distance and geodesic count is read off its rows, apart from those of
-    ``geodesics.count_geodesics`` and ``cycles.lemma1_scan``, which walk the
-    chains of a 2-core with ``_chains`` and search the kernel between them
-    as a weighted graph.
+    accumulates the path counts of all its level d-1 neighbours.  Every
+    distance and geodesic count outside ``geodesics._source_rows`` is read
+    off its rows: connectivity, witness pairs and paths, and the sweep's
+    pair property.  The per-source rows of ``count_geodesics`` and
+    ``lemma1_scan`` come from ``_source_rows`` instead.  It walks the chains
+    of a 2-core with ``_chains`` and searches the kernel between them as a
+    weighted graph, or, on a core with few chain vertices, runs this same
+    level loop as ``geodesics._bfs_levels`` on one pair of rows shared by
+    every source, so that a pruned search costs only the ball it reaches.
     """
     adjacency = g.adjacency
     dist: list[int | None] = [None] * g.vertex_count

@@ -179,6 +179,18 @@ def _loop_chains(rng: random.Random):
     ] + [one_point_union(complete_graph(4), cycle_graph(m)) for m in range(3, 12)]
 
 
+def _grids_with_trees(rng: random.Random):
+    """Relabelled grids of 3 to 12 vertices a side carrying pendant trees.
+    Every grid vertex is in the kernel, so the plain-BFS branch searches a
+    core whose labels are not 0 .. core_size - 1, and vertex 0 is often a
+    tree vertex, which no search starts from."""
+    return [
+        relabel(rng, _with_trees(rng, _grid(rows, cols), rng.randint(1, rows * cols // 2)))
+        for rows in range(3, 13)
+        for cols in (rows, rng.randint(3, 12))
+    ]
+
+
 REFEREE_FAMILIES = {
     "standard corpus and Hoffman-Singleton": lambda rng: [
         *standard_corpus(),
@@ -194,6 +206,7 @@ REFEREE_FAMILIES = {
         _sparse(rng, rng.randint(50, 250)) for _ in range(60)
     ],
     "C400, C401 and a 15x15 grid": lambda rng: [cycle_graph(400), cycle_graph(401), _grid(15, 15)],
+    "relabelled grids with pendant trees": _grids_with_trees,
 }
 
 
@@ -272,6 +285,9 @@ class TestAgainstBfsReferee:
         assert (p.k_value, p.witness_pair, p.witness_distance) == (2, (0, 10000), 10000)
 
 
+LEMMA1_CAPS = (None, 4, 5, 6, 7, 8, 10, 13)
+
+
 class TestLemma1AgainstBfsReferee:
     """``lemma1_scan`` reads the witness off the 2-core search of
     ``count_geodesics``; the referee runs one bounded BFS from every
@@ -281,8 +297,116 @@ class TestLemma1AgainstBfsReferee:
     @pytest.mark.parametrize("family", sorted(REFEREE_FAMILIES))
     def test_matches_referee(self, family):
         for g in REFEREE_FAMILIES[family](random.Random(family)):
-            for max_len in (None, 4, 5, 6, 7, 8, 10, 13):
+            for max_len in LEMMA1_CAPS:
                 assert lemma1_scan(g, max_len) == bfs_lemma1(g, max_len), (g.edges(), max_len)
+
+    def test_families_cover_the_plain_branch(self, monkeypatch):
+        # The cases of the plain-BFS branch that the referee must see: a
+        # relabelled core; a running bound that first falls after a search
+        # from a later core source than the first, so earlier sources were
+        # searched at the full bound; and, on the grids, every cap.  A
+        # search's bound is the depth it is started with.
+        from geodetic import geodesics
+
+        bounds: list[int] = []
+        real = geodesics._bfs_levels
+
+        def recording(adjacency, s, depth, *rows):
+            bounds.append(depth)
+            return real(adjacency, s, depth, *rows)
+
+        monkeypatch.setattr(geodesics, "_bfs_levels", recording)
+        relabelled, falls_later, grid_caps = 0, 0, set()
+        for family in sorted(REFEREE_FAMILIES):
+            for g in REFEREE_FAMILIES[family](random.Random(family)):
+                core = _two_core(g)
+                for max_len in LEMMA1_CAPS:
+                    bounds.clear()
+                    lemma1_scan(g, max_len)
+                    if not bounds:
+                        continue  # the chain branch, or a tree
+                    assert len(bounds) == len(core)
+                    relabelled += core != list(range(len(core)))
+                    falls_later += bounds[0] == bounds[1] > min(bounds)
+                    if family == "relabelled grids with pendant trees":
+                        grid_caps.add(max_len)
+        assert relabelled and falls_later
+        assert grid_caps == set(LEMMA1_CAPS)
+
+
+class TestPlainBranchRows:
+    """The plain-BFS branch of ``_source_rows`` shares one pair of rows
+    among its sources and runs each search only as far as its reader
+    reads; afterwards only the entries the search wrote are reset."""
+
+    def test_rows_reset_and_readings_match_full_rows(self):
+        rng = random.Random(7)
+        for trial in range(150):
+            core_size = rng.randint(4, 16)
+            # Every core vertex gets degree >= 3, so the kernel is the whole
+            # core and the plain branch runs.
+            edges = {(rng.randrange(v), v) for v in range(1, core_size)}
+            while True:
+                deg = [0] * core_size
+                for u, v in edges:
+                    deg[u] += 1
+                    deg[v] += 1
+                low = [v for v in range(core_size) if deg[v] < 3]
+                if not low:
+                    break
+                w = rng.choice([x for x in range(core_size) if x != low[0]])
+                edges.add((min(low[0], w), max(low[0], w)))
+            g = relabel(rng, _with_trees(rng, from_edge_list(sorted(edges)), rng.randint(0, 6)))
+            core = _two_core(g)
+            in_core = set(core)
+            dist_full, count_full = engine_rows(g)
+            bounds: list[int] = []
+            shared: list[tuple[list, list]] = []
+
+            def depth():
+                bounds.append(rng.randint(0, core_size))
+                return bounds[-1]
+
+            def read(v, dist, sigma, ends, levels):
+                assert ends == ()
+                assert dist == [None] * core_size and sigma == [0] * core_size
+                shared.append((dist, sigma))
+                bound, kind = bounds[-1], rng.randrange(3)
+                within = {w: d for w, d in enumerate(dist_full[v]) if w in in_core and d <= bound}
+                if kind == 0:
+                    # Read a random number of levels; each is the set of
+                    # core vertices at that distance, with their counts.
+                    stop, reached = rng.randint(0, bound), [v]
+                    for d, level in enumerate(levels, 1):
+                        assert d <= bound
+                        assert sorted(core[i] for i in level) == sorted(
+                            w for w, dw in within.items() if dw == d
+                        )
+                        assert all(dist[i] == d for i in level)
+                        assert all(sigma[i] == count_full[v][core[i]] for i in level)
+                        reached += [core[i] for i in level]
+                        if d == stop:
+                            break
+                    else:
+                        assert sorted(reached) == sorted(within)
+                    return None
+                if kind == 1:
+                    repeats = [d for w, d in within.items() if count_full[v][w] >= 2]
+                    want = (min(repeats), v) if repeats else None
+                    assert _least_repeat(v, dist, sigma, ends, levels) == want
+                    # The search stopped at the first level with a repeat.
+                    last = want[0] if want else bound
+                    assert all(d is None or d <= last for d in dist)
+                    return want
+                want_max = max(count_full[v][w] for w in within)
+                assert _row_max(v, dist, sigma, ends, levels) == want_max
+                return want_max
+
+            _source_rows(g, read, depth)
+            assert len(shared) == core_size, trial
+            assert all(pair[0] is shared[0][0] and pair[1] is shared[0][1] for pair in shared)
+            dist, sigma = shared[0]
+            assert dist == [None] * core_size and sigma == [0] * core_size, trial
 
 
 class TestClassifyK:

@@ -6,7 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import H1_SPEC, H2_SPEC
@@ -430,6 +430,16 @@ def test_candidate_chords_cap_keeps_at_most_cap_paths_per_pair(corpus, petersen)
         assert flags == {False, True}
 
 
+@st.composite
+def connected_graphs(draw, min_vertices: int, max_vertices: int):
+    """A random tree on ``min_vertices`` to ``max_vertices`` vertices plus
+    any set of further edges."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return from_edge_list(tree + draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+
+
 class TestCorollary4Check:
     def test_chorded_c8_is_certified(self, c8_chord):
         report = corollary4_check(c8_chord)
@@ -516,6 +526,19 @@ class TestCorollary4Check:
     def test_out_of_range_limits_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=message):
             SearchLimits(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs(8, 12))
+    def test_lemma1_witnesses_carry_no_chord_system(self, g):
+        # Past the 7 vertices of the atlas: a chord system meeting both
+        # cycle conditions on a Lemma 1 witness would join its opposite
+        # pair by a path shorter than half the cycle, yet the pair lies at
+        # exactly that distance.  So the search finds none, exhaustively.
+        verdict = lemma1_scan(g)
+        assert verdict.exhaustive
+        if verdict.witness is not None:
+            result = find_chord_system(g, verdict.witness)
+            assert result.system is None and result.exhausted
 
     def test_disconnected_rejected(self):
         from geodetic import from_edge_list
